@@ -3,12 +3,15 @@
 The central object is H = [[A, B], [B^T, -C]] with A and C positive
 semidefinite.  Each certificate produces an open interval that the
 spectrum of H provably avoids (entirely, or up to the eigenvalue zero),
-together with the scalar quantities the bound is built from.
+together with the scalar quantities the bound is built from.  Every
+certificate reads the factorizations a `BlockSaddle` keeps, so a saddle
+is factorized once however many certificates it gets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,40 +25,58 @@ from .errors import (
     NotDefinite,
     NotPSD,
     NotSymmetric,
-    Singular,
     UnboundedRelativeBound,
 )
 
-EPS = linalg.EPS
 
+def _psd_eig(M: np.ndarray, name: str) -> tuple[np.ndarray, linalg.EigenDecomposition]:
+    """Validate a symmetric positive semidefinite matrix; return it and its eigenpairs.
 
-def _check_symmetric_psd(M: np.ndarray, name: str) -> np.ndarray:
+    Both tolerances are relative to the matrix's own scale: a symmetry
+    defect above 1e-12 of it, or an eigenvalue below -1e-10 of it, fails.
+    """
     M = linalg.require_finite(M, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"{name} must be square, got shape {M.shape}")
-    scale = max(linalg.op_norm_bound(M), 1.0)
+    scale = linalg.op_norm_bound(M)
     defect = np.max(np.abs(M - M.T)) if M.size else 0.0
     if defect > 1e-12 * scale:
         raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
-    w = np.linalg.eigvalsh((M + M.T) / 2.0)
+    w, V = np.linalg.eigh((M + M.T) / 2.0)
     if w.size and w[0] < -1e-10 * scale:
         raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}, not positive semidefinite")
-    return M
+    return M, linalg.EigenDecomposition(w, V)
+
+
+def _read_only(arrays):
+    # cached factors are shared by every certificate that reads them
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _min_eig(w: np.ndarray, name: str) -> float:
+    if not linalg.definite(w):
+        raise NotDefinite(f"{name} is not positive definite (min eigenvalue {w[0] if w.size else 0.0:.3e})")
+    return float(w[0])
 
 
 @dataclass(frozen=True)
 class BlockSaddle:
-    """Blocks of H = [[A, B], [B^T, -C]]; A and C symmetric positive semidefinite."""
+    """Blocks of H = [[A, B], [B^T, -C]]; A and C symmetric positive semidefinite.
+
+    Validation keeps the eigenpairs of A and C (`eig_A`, `eig_C`); the SVD
+    of B and the spectrum of H are computed on first use and kept.
+    """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
 
     def __post_init__(self):
-        A = _check_symmetric_psd(self.A, "A")
-        C = _check_symmetric_psd(self.C, "C")
-        B = linalg.require_finite(self.B, "B")
-        B = np.atleast_2d(B)
+        A, eig_A = _psd_eig(self.A, "A")
+        C, eig_C = _psd_eig(self.C, "C")
+        B = np.atleast_2d(linalg.require_finite(self.B, "B"))
         if B.shape != (A.shape[0], C.shape[0]):
             raise DimensionMismatch(
                 f"B must be {A.shape[0]}x{C.shape[0]}, got {B.shape[0]}x{B.shape[1]}"
@@ -63,6 +84,8 @@ class BlockSaddle:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
+        object.__setattr__(self, "eig_A", _read_only(eig_A))
+        object.__setattr__(self, "eig_C", _read_only(eig_C))
 
     @property
     def m(self) -> int:
@@ -74,6 +97,16 @@ class BlockSaddle:
 
     def assemble(self) -> np.ndarray:
         return np.block([[self.A, self.B], [self.B.T, -self.C]])
+
+    @cached_property
+    def svd_B(self):
+        """Thin SVD of B as (U, S, Vh), singular values descending."""
+        return _read_only(np.linalg.svd(self.B, full_matrices=False))
+
+    @cached_property
+    def eigvals_H(self) -> np.ndarray:
+        """Eigenvalues of the assembled H, ascending."""
+        return _read_only([np.linalg.eigvalsh(self.assemble())])[0]
 
 
 @dataclass(frozen=True)
@@ -125,30 +158,14 @@ def null_space_H(H: BlockSaddle, tol_rank: float | None = None) -> NullSpaceRepo
     return NullSpaceReport(na_nb, nc_nb, na_nb.shape[1] + nc_nb.shape[1] > 0)
 
 
-def _min_eig_definite(M: np.ndarray, name: str) -> float:
-    w = linalg.sym_eig(M).values
-    scale = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
-    if scale == 0.0 or w[0] <= w.size * EPS * scale:
-        raise NotDefinite(f"{name} is not positive definite (min eigenvalue {w[0] if w.size else 0.0:.3e})")
-    return float(w[0])
-
-
-def _pd_inv_power(M: np.ndarray, power: float, name: str) -> np.ndarray:
-    w, V = linalg.sym_eig(M)
-    scale = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
-    if scale == 0.0 or w[0] <= w.size * EPS * scale:
-        raise NotDefinite(f"{name} is not positive definite")
-    return (V * w**power) @ V.T
-
-
 def diag_gap(H: BlockSaddle) -> GapCertificate:
     """Gap interval (-min sigma(C), min sigma(A)) from the diagonal blocks alone.
 
     Requires both blocks positive definite; no eigenvalue of H lies in the
     open interval, and ||H^{-1}|| <= 1/min(min sigma(A), min sigma(C)).
     """
-    a = _min_eig_definite(H.A, "A")
-    c = _min_eig_definite(H.C, "C")
+    a = _min_eig(H.eig_A.values, "A")
+    c = _min_eig(H.eig_C.values, "C")
     return GapCertificate(
         method="diag_gap",
         interval=(-c, a),
@@ -169,14 +186,15 @@ def stretch_certificate(H: BlockSaddle) -> GapCertificate:
     The certified interval is lambda0 plus/minus the reciprocal of that
     bound; inv_norm_bound refers to the resolvent at lambda0.
     """
-    a = _min_eig_definite(H.A, "A")
-    c = _min_eig_definite(H.C, "C")
+    (wa, VA), (wc, VC) = H.eig_A, H.eig_C
+    a = _min_eig(wa, "A")
+    c = _min_eig(wc, "C")
     lam0 = (a - c) / 2.0
-    SA = _pd_inv_power(H.A - lam0 * np.eye(H.m), -0.5, "A - lambda0 I")
-    SC = _pd_inv_power(H.C + lam0 * np.eye(H.k), -0.5, "C + lambda0 I")
-    Z = SA @ H.B @ SC
-    s = np.linalg.svd(Z, compute_uv=False) if Z.size else np.zeros(0)
-    sigma_eff = float(s[-1]) if (H.m == H.k and s.size) else 0.0
+    # Z = (A - lambda0 I)^{-1/2} B (C + lambda0 I)^{-1/2} in the eigenbases
+    # of A and C, which leaves its singular values unchanged
+    Z = (wa - lam0)[:, None] ** -0.5 * (VA.T @ H.B @ VC) * (wc + lam0) ** -0.5
+    s = np.linalg.svd(Z, compute_uv=False)
+    sigma_eff = float(s[-1]) if H.m == H.k else 0.0
     bound = 2.0 / ((a + c) * np.hypot(1.0, sigma_eff))
     radius = 1.0 / bound
     return GapCertificate(
@@ -186,8 +204,8 @@ def stretch_certificate(H: BlockSaddle) -> GapCertificate:
         inv_norm_bound=bound,
         quantities={
             "lambda0": lam0,
-            "sigma_min_Z": float(s[-1]) if s.size else 0.0,
-            "sigma_max_Z": float(s[0]) if s.size else 0.0,
+            "sigma_min_Z": float(s[-1]),
+            "sigma_max_Z": float(s[0]),
             "min_sigma_A": a,
             "min_sigma_C": c,
         },
@@ -202,17 +220,19 @@ def inv_IplusAC_bound(A: np.ndarray, C: np.ndarray) -> float:
     ||A||^(1/2)||L^T C||, ||C||^(1/2)||A M|| and
     ||A||^(1/2)||C||^(1/2)||L^T M||.
     """
-    A = _check_symmetric_psd(A, "A")
-    C = _check_symmetric_psd(C, "C")
+    A, (wa, VA) = _psd_eig(A, "A")
+    C, (wc, VC) = _psd_eig(C, "C")
     if A.shape != C.shape:
         raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
-    RA = linalg.psd_sqrt(A)
-    L = linalg.psd_factor(A)
-    M = linalg.psd_factor(C)
+    wa, wc = np.clip(wa, 0.0, None), np.clip(wc, 0.0, None)
+    FA, FC = VA * np.sqrt(wa), VC * np.sqrt(wc)
+    RA = FA @ VA.T
+    L = FA[:, ~linalg.negligible(wa)]
+    M = FC[:, ~linalg.negligible(wc)]
     w = np.linalg.eigvalsh(RA @ C @ RA)
     den = 1.0 + max(float(w[0]) if w.size else 0.0, 0.0)
-    na = linalg.op_norm(A)
-    nc = linalg.op_norm(C)
+    na = float(wa[-1]) if wa.size else 0.0
+    nc = float(wc[-1]) if wc.size else 0.0
     t1 = np.sqrt(na) * linalg.op_norm(L.T @ C)
     t2 = np.sqrt(nc) * linalg.op_norm(A @ M)
     t3 = np.sqrt(na * nc) * linalg.op_norm(L.T @ M)
@@ -221,36 +241,29 @@ def inv_IplusAC_bound(A: np.ndarray, C: np.ndarray) -> float:
 
 def verify_norm_floor(A: np.ndarray, C: np.ndarray) -> tuple[float, bool]:
     """Return (||I + AC||, flag); the norm is >= 1 with equality iff AC = 0."""
-    A = _check_symmetric_psd(A, "A")
-    C = _check_symmetric_psd(C, "C")
+    A, (wa, _) = _psd_eig(A, "A")
+    C, (wc, _) = _psd_eig(C, "C")
     if A.shape != C.shape:
         raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
     AC = A @ C
     norm = linalg.op_norm(np.eye(A.shape[0]) + AC)
-    zero = linalg.op_norm(AC) <= 1e-12 * max(1.0, linalg.op_norm(A) * linalg.op_norm(C))
+    scale = np.max(np.abs(wa), initial=0.0) * np.max(np.abs(wc), initial=0.0)
+    zero = linalg.op_norm(AC) <= 1e-12 * max(1.0, scale)
     return norm, zero
-
-
-def _quarter_inverse(G: np.ndarray, name: str) -> np.ndarray:
-    w, V = linalg.sym_eig(G)
-    scale = float(w[-1]) if w.size else 0.0
-    if scale <= 0.0 or w[0] <= w.size * EPS * scale:
-        raise UnboundedRelativeBound(f"{name} is rank deficient; relative bound is infinite")
-    return (V * w**-0.25) @ V.T
 
 
 def alpha_relative(M: np.ndarray, B: np.ndarray) -> float:
     """Largest eigenvalue of (BB^T)^{-1/4} M (BB^T)^{-1/4}."""
-    S = _quarter_inverse(B @ B.T, "B B^T")
-    w = np.linalg.eigvalsh(S @ ((M + M.T) / 2.0) @ S)
-    return max(float(w[-1]), 0.0)
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
+    return linalg.relative_size(M, U, s)
 
 
 def relative_bounds(H: BlockSaddle) -> RelativeBounds:
     """Relative sizes alpha, gamma of A and C against |B^T| and |B|."""
+    U, s, Vh = H.svd_B
     return RelativeBounds(
-        alpha=alpha_relative(H.A, H.B),
-        gamma=alpha_relative(H.C, H.B.T),
+        alpha=linalg.relative_size(H.A, U, s),
+        gamma=linalg.relative_size(H.C, Vh.T, s),
     )
 
 
@@ -263,8 +276,8 @@ def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     """
     if H.m != H.k:
         raise BNotInvertible(f"B must be square, got {H.m}x{H.k}")
-    s = np.linalg.svd(H.B, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= H.m * EPS * s[0]:
+    s = H.svd_B.S
+    if not linalg.definite(s):
         raise UnboundedRelativeBound("B is singular; relative bounds are infinite")
     rb = relative_bounds(H)
     binv = 1.0 / float(s[-1])
@@ -279,17 +292,6 @@ def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     )
 
 
-def _psd_split(M: np.ndarray, tol_rank: float | None):
-    # split R^n into numerical range and null space of a PSD matrix
-    w, V = linalg.sym_eig(M)
-    if tol_rank is None:
-        tol_rank = w.size * EPS
-    scale = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
-    cutoff = tol_rank * scale
-    null = w <= cutoff
-    return V[:, ~null], V[:, null], w[~null]
-
-
 def zero_dichotomy_certificate(H: BlockSaddle, tol_rank: float | None = None) -> GapCertificate:
     """Gap certificate for semidefinite A, C with matching null-space dimensions.
 
@@ -300,8 +302,10 @@ def zero_dichotomy_certificate(H: BlockSaddle, tol_rank: float | None = None) ->
         ||H^{-1}|| <= (1 + max(||B12 B22^{-1}||, ||B21^T B22^{-T}||))^2
                       * max(||A1^{-1}||, ||C1^{-1}||, ||B22^{-1}||).
     """
-    RA, NA, wa = _psd_split(H.A, tol_rank)
-    RC, NC, wc = _psd_split(H.C, tol_rank)
+    (wa, VA), (wc, VC) = H.eig_A, H.eig_C
+    null_a, null_c = linalg.negligible(wa, tol_rank), linalg.negligible(wc, tol_rank)
+    RA, NA, wa = VA[:, ~null_a], VA[:, null_a], wa[~null_a]
+    RC, NC, wc = VC[:, ~null_c], VC[:, null_c], wc[~null_c]
     p, q = NA.shape[1], NC.shape[1]
     if p != q:
         raise DimensionMismatch(f"dim N(A) = {p} differs from dim N(C) = {q}")
@@ -314,7 +318,7 @@ def zero_dichotomy_certificate(H: BlockSaddle, tol_rank: float | None = None) ->
     if p > 0:
         B22 = NA.T @ H.B @ NC
         s22 = np.linalg.svd(B22, compute_uv=False)
-        if s22[0] == 0.0 or s22[-1] <= p * EPS * s22[0]:
+        if not linalg.definite(s22):
             raise B22Singular("restriction of B between N(A) and N(C) is singular")
         inv_parts.append(1.0 / float(s22[-1]))
         B12 = RA.T @ H.B @ NC
@@ -341,16 +345,14 @@ def kirsch_certificate(A: np.ndarray, B: np.ndarray) -> GapCertificate:
     A and B must be symmetric positive semidefinite of equal size, at
     least one of them definite.
     """
-    A = _check_symmetric_psd(A, "A")
-    B = _check_symmetric_psd(B, "B")
+    A, (wa, _) = _psd_eig(A, "A")
+    B, (wb, _) = _psd_eig(B, "B")
     if A.shape != B.shape:
         raise DimensionMismatch(f"A and B must share a shape, got {A.shape} and {B.shape}")
-    n = A.shape[0]
-    amin = max(float(np.linalg.eigvalsh(A)[0]), 0.0)
-    bmin = max(float(np.linalg.eigvalsh(B)[0]), 0.0)
-    scale = max(linalg.op_norm_bound(A), linalg.op_norm_bound(B), 1.0)
-    if amin <= n * EPS * scale and bmin <= n * EPS * scale:
+    if not (linalg.definite(wa) or linalg.definite(wb)):
         raise BothSemidefiniteSingular("both A and B have smallest eigenvalue zero")
+    amin = max(float(wa[0]), 0.0)
+    bmin = max(float(wb[0]), 0.0)
     radius = float(np.hypot(amin, bmin))
     return GapCertificate(
         method="kirsch",
@@ -361,6 +363,13 @@ def kirsch_certificate(A: np.ndarray, B: np.ndarray) -> GapCertificate:
     )
 
 
+def kirsch_saddle_certificate(H: BlockSaddle) -> GapCertificate:
+    """kirsch_certificate(A, B) for a saddle in the form [[A, B], [B, -A]]."""
+    if H.m != H.k or np.max(np.abs(H.C - H.A)) > 1e-12 * np.max(np.abs(H.A)):
+        raise ValueError("kirsch form needs square blocks with C = A")
+    return kirsch_certificate(H.A, H.B)
+
+
 def winklmeier_bound(H: BlockSaddle) -> float:
     """Quadratic-numerical-range gap radius; may come out <= 0 (void bound).
 
@@ -368,12 +377,27 @@ def winklmeier_bound(H: BlockSaddle) -> float:
     """
     if H.m != H.k:
         raise BNotInvertible(f"B must be square, got {H.m}x{H.k}")
-    s = np.linalg.svd(H.B, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] <= H.m * EPS * s[0]:
+    s = H.svd_B.S
+    if not linalg.definite(s):
         raise BNotInvertible("B is singular to working precision")
-    na = linalg.op_norm(H.A)
-    nc = linalg.op_norm(H.C)
+    na = float(np.max(np.abs(H.eig_A.values)))
+    nc = float(np.max(np.abs(H.eig_C.values)))
     return float(-(na + nc) / 2.0 + np.hypot((na - nc) / 2.0, float(s[-1])))
+
+
+def winklmeier_certificate(H: BlockSaddle) -> GapCertificate:
+    """The Winklmeier radius r as the interval (-r, r), empty when r <= 0.
+
+    quantities["raw_bound"] keeps the radius as computed, void or not.
+    """
+    b = winklmeier_bound(H)
+    return GapCertificate(
+        method="winklmeier",
+        interval=(-b, b) if b > 0.0 else (0.0, 0.0),
+        claim="excludes_all",
+        inv_norm_bound=None,
+        quantities={"raw_bound": b},
+    )
 
 
 def func_calc_AC(A: np.ndarray, C: np.ndarray, f0: float, f1) -> np.ndarray:
@@ -382,11 +406,11 @@ def func_calc_AC(A: np.ndarray, C: np.ndarray, f0: float, f1) -> np.ndarray:
     Meaningful for functions with f(x) = f0 + x f1(x); the inner argument
     is symmetric PSD, so f1 only ever sees the nonnegative eigenvalues.
     """
-    A = _check_symmetric_psd(A, "A")
-    C = _check_symmetric_psd(C, "C")
+    A, _ = _psd_eig(A, "A")
+    C, (wc, VC) = _psd_eig(C, "C")
     if A.shape != C.shape:
         raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
-    R = linalg.psd_sqrt(C)
+    R = (VC * np.sqrt(np.clip(wc, 0.0, None))) @ VC.T
     w, V = linalg.sym_eig(R @ A @ R)
     w = np.clip(w, 0.0, None)
     vals = np.asarray([float(f1(x)) for x in w])

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import NotFinite, NotPSD, NotSymmetric, Singular
+from .errors import NotFinite, NotPSD, NotSymmetric, Singular, UnboundedRelativeBound
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -84,6 +84,37 @@ def op_norm_bound(M: np.ndarray) -> float:
     if M.size == 0:
         return 0.0
     return float(np.max(np.abs(M)) * max(M.shape))
+
+
+def negligible(x: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
+    """Which of the eigenvalues or singular values x count as zero.
+
+    The package's one rank and definiteness rule: x_i <= tol_rank * max|x|,
+    with tol_rank = len(x) * EPS unless given; nonpositive values always count.
+    """
+    if tol_rank is None:
+        tol_rank = x.size * EPS
+    return x <= tol_rank * (float(np.max(np.abs(x))) if x.size else 0.0)
+
+
+def definite(x: np.ndarray, tol_rank: float | None = None) -> bool:
+    """Whether eigenvalues x are positive definite, or singular values x of full rank."""
+    return x.size > 0 and not np.any(negligible(x, tol_rank))
+
+
+def relative_size(M: np.ndarray, U: np.ndarray, s: np.ndarray) -> float:
+    """Largest eigenvalue of G^{-1/2} M G^{-1/2}, clipped at zero, for G = U diag(s) U^T.
+
+    U, s come from a thin SVD B = U diag(s) V^T, so G = (B B^T)^{1/2}; with
+    V in place of U it is (B^T B)^{1/2}.  The value is taken from
+    diag(s)^{-1/2} U^T M U diag(s)^{-1/2}: B B^T is never formed, so scaling
+    M and B by one factor leaves it unchanged at any magnitude.
+    """
+    if U.shape[0] != s.size or not definite(s):
+        raise UnboundedRelativeBound("coupling is rank deficient; relative bound is infinite")
+    d = s**-0.5
+    w = np.linalg.eigvalsh(d[:, None] * (U.T @ ((M + M.T) / 2.0) @ U) * d)
+    return max(float(w[-1]), 0.0)
 
 
 def psd_sqrt(M: np.ndarray, tol_psd: float | None = None) -> np.ndarray:

@@ -61,22 +61,12 @@ def parse_matrix(text: str) -> np.ndarray:
     return M
 
 
-def read_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as f:
-        return parse_matrix(f.read())
-
-
 def format_matrix(M: np.ndarray) -> str:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     lines = [f"{M.shape[0]} {M.shape[1]}"]
     for row in M:
         lines.append(" ".join("%.17g" % x for x in row))
     return "\n".join(lines) + "\n"
-
-
-def write_matrix(path, M: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(format_matrix(M))
 
 
 def parse_block_saddle(text: str) -> BlockSaddle:

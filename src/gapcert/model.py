@@ -338,20 +338,22 @@ def stable_gap(c: float) -> StableGap:
 def stable_gap_check(m: int, c: float) -> dict:
     """Count eigenvalues of H_c inside the stable gap and check the pattern.
 
-    c >= 1 leaves the gap empty; c < 1 leaves exactly the spurious pair,
-    which is exactly zero at c = 0 and, once deep enough in the
-    asymptotic regime (2 m alpha0 >= 10), within a percent of twice the
-    estimated singular value.
+    The gap holds exactly the spurious pair where 0 <= c < 1 and
+    m (1 - c) > c, and nothing otherwise (c >= 1, or too few sites for
+    the pair to form).  The pair is exactly zero at c = 0 and, once deep
+    enough in the asymptotic regime (2 m alpha0 >= 10), within a percent
+    of twice the estimated singular value.
     """
     radius = stable_gap(c).radius
     evals = hc_spectrum(ModelSpec(m, c))
     inside = evals[np.abs(evals) < radius] if radius > 0.0 else evals[:0]
-    expected = 0 if c >= 1.0 else 2
+    pair = 0.0 <= c < 1.0 and m * (1.0 - c) > c
+    expected = 2 if pair else 0
     ok = inside.size == expected
     central = np.sort(np.abs(evals))[:2]
     if c == 0.0:
         ok = ok and central[1] == 0.0
-    elif c < 1.0:
+    elif pair:
         est = spurious_estimate(ModelSpec(m, c))
         if 2.0 * m * est.alpha0 >= 10.0:
             ok = ok and central[1] <= 2.0 * np.exp(est.log_sigma_est) * (1.0 + 1e-2)

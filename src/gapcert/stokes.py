@@ -24,33 +24,24 @@ from .errors import (
 EPS = linalg.EPS
 
 
-@dataclass(frozen=True)
-class StokesMatrix:
-    """Blocks of H = [[A, B], [B^T, 0]] with A symmetric positive semidefinite."""
+class StokesMatrix(bounds.BlockSaddle):
+    """H = [[A, B], [B^T, 0]]: a BlockSaddle whose C block is zero.
 
-    A: np.ndarray
-    B: np.ndarray
+    Every function here takes any BlockSaddle with C = 0 and reads the
+    factorizations it keeps.
+    """
 
-    def __post_init__(self):
-        H = bounds.BlockSaddle(self.A, self.B, np.zeros((np.atleast_2d(self.B).shape[1],) * 2))
-        object.__setattr__(self, "A", H.A)
-        object.__setattr__(self, "B", H.B)
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.B.shape[1]
-
-    def assemble(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.B.T, np.zeros((self.k, self.k))]])
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        k = np.atleast_2d(B).shape[1]
+        super().__init__(A, B, np.zeros((k, k)))
 
     def nab_holds(self, tol_rank: float | None = None) -> bool:
         """Whether N(A) and N(B^T) intersect only in zero."""
-        stacked = np.vstack([self.A, self.B.T])
-        return linalg.null_space_basis(stacked, tol_rank).shape[1] == 0
+        return _nab_holds(self, tol_rank)
+
+
+def _nab_holds(S: bounds.BlockSaddle, tol_rank: float | None) -> bool:
+    return linalg.null_space_basis(np.vstack([S.A, S.B.T]), tol_rank).shape[1] == 0
 
 
 @dataclass(frozen=True)
@@ -99,7 +90,7 @@ class PerturbationSpec:
             raise EtaOutOfRange(f"eta must lie in [0, 1), got {self.eta}")
 
 
-def rayleigh_p(x: np.ndarray, S: StokesMatrix) -> tuple[float, float]:
+def rayleigh_p(x: np.ndarray, S: bounds.BlockSaddle) -> tuple[float, float]:
     """Branch functionals p_plus(x) >= 0 >= p_minus(x) of the pencil at x.
 
     p_pm(x) = (x^T A x pm sqrt((x^T A x)^2 + 4 ||B^T x||^2)) / 2.
@@ -122,9 +113,9 @@ def rayleigh_p(x: np.ndarray, S: StokesMatrix) -> tuple[float, float]:
     return (a + root) / 2.0, (a - root) / 2.0
 
 
-def pencil_spectrum(S: StokesMatrix, tol_rank: float | None = None) -> PencilSpectrum:
+def pencil_spectrum(S: bounds.BlockSaddle, tol_rank: float | None = None) -> PencilSpectrum:
     """Classify the spectrum of H into pencil branches."""
-    w = np.linalg.eigvalsh(S.assemble())
+    w = S.eigvals_H
     n = w.size
     if tol_rank is None:
         tol_rank = n * EPS
@@ -140,13 +131,13 @@ def pencil_spectrum(S: StokesMatrix, tol_rank: float | None = None) -> PencilSpe
     return PencilSpectrum(lam_minus, pos[::-1], int(zero_mult))
 
 
-def minimal_intervals(S: StokesMatrix, tol_rank: float | None = None) -> IntervalPair:
+def minimal_intervals(S: bounds.BlockSaddle, tol_rank: float | None = None) -> IntervalPair:
     """Tightest branch enclosures: extremal eigenvalues of each branch.
 
     i_plus spans the positive eigenvalues; i_minus spans the strict
     negatives (collapsing to (0, 0) if B = 0 leaves none).
     """
-    if not S.nab_holds(tol_rank):
+    if not _nab_holds(S, tol_rank):
         raise NABViolated("N(A) and N(B^T) intersect nontrivially")
     ps = pencil_spectrum(S, tol_rank)
     strict = ps.strict_minus
@@ -155,22 +146,17 @@ def minimal_intervals(S: StokesMatrix, tol_rank: float | None = None) -> Interva
     return IntervalPair(i_minus, i_plus, "minimal")
 
 
-def _definite_alphas(S: StokesMatrix) -> tuple[float, float]:
-    w = linalg.sym_eig(S.A).values
-    scale = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
-    if scale == 0.0 or w[0] <= w.size * EPS * scale:
+def _outer_hypotheses(S: bounds.BlockSaddle) -> tuple[float, float]:
+    """Extreme eigenvalues of A, which must be positive definite, while B has full column rank."""
+    w = S.eig_A.values
+    if not linalg.definite(w):
         raise NotDefinite("A must be positive definite for this interval estimate")
+    if S.k > S.m or not linalg.definite(S.svd_B.S, S.m * EPS):
+        raise RankDeficient(f"B must have full column rank {S.k}")
     return float(w[0]), float(w[-1])
 
 
-def _full_column_singvals(S: StokesMatrix) -> np.ndarray:
-    s = np.linalg.svd(S.B, compute_uv=False)
-    if S.k > S.m or s.size < S.k or s[0] == 0.0 or s[-1] <= max(S.m, S.k) * EPS * s[0]:
-        raise RankDeficient(f"B must have full column rank {S.k}")
-    return s
-
-
-def ruwa_intervals(S: StokesMatrix) -> IntervalPair:
+def ruwa_intervals(S: bounds.BlockSaddle) -> IntervalPair:
     """Branch enclosures from extreme eigenvalues of A and singular values of B.
 
     With alpha_1 <= alpha_m the extreme eigenvalues of A and beta_min,
@@ -179,8 +165,8 @@ def ruwa_intervals(S: StokesMatrix) -> IntervalPair:
                (alpha_m - sqrt(alpha_m^2 + 4 beta_min^2))/2],
     I_plus  = [alpha_1, (alpha_m + sqrt(alpha_m^2 + 4 beta_max^2))/2].
     """
-    a1, am = _definite_alphas(S)
-    s = _full_column_singvals(S)
+    a1, am = _outer_hypotheses(S)
+    s = S.svd_B.S
     bmax, bmin = float(s[0]), float(s[-1])
     i_minus = (
         (a1 - float(np.hypot(a1, 2.0 * bmax))) / 2.0,
@@ -190,7 +176,7 @@ def ruwa_intervals(S: StokesMatrix) -> IntervalPair:
     return IntervalPair(i_minus, i_plus, "ruwa")
 
 
-def axel_intervals(S: StokesMatrix) -> IntervalPair:
+def axel_intervals(S: bounds.BlockSaddle) -> IntervalPair:
     """Branch enclosures through the Schur weights sigma(B^T A^{-1} B).
 
     With sigma_1 <= sigma_k those eigenvalues and alpha_1 <= alpha_m the
@@ -199,10 +185,10 @@ def axel_intervals(S: StokesMatrix) -> IntervalPair:
                -sigma_1 alpha_1 / (sigma_1 + alpha_1)],
     I_plus  = [alpha_1, (alpha_m + sqrt(alpha_m^2 + 4 sigma_k alpha_m))/2].
     """
-    a1, am = _definite_alphas(S)
-    _full_column_singvals(S)
-    G = S.B.T @ np.linalg.solve(S.A, S.B)
-    sig = np.linalg.eigvalsh((G + G.T) / 2.0)
+    a1, am = _outer_hypotheses(S)
+    w, V = S.eig_A
+    W = (V.T @ S.B) / np.sqrt(w)[:, None]  # W^T W = B^T A^{-1} B
+    sig = np.linalg.eigvalsh(W.T @ W)
     s1, sk = float(sig[0]), float(sig[-1])
     root = float(np.sqrt(am * am + 4.0 * sk * am))
     i_minus = ((am - root) / 2.0, -s1 * a1 / (s1 + a1))
@@ -210,7 +196,7 @@ def axel_intervals(S: StokesMatrix) -> IntervalPair:
     return IntervalPair(i_minus, i_plus, "axel")
 
 
-def new_gap_estimate(S: StokesMatrix) -> bounds.GapCertificate:
+def new_gap_estimate(S: bounds.BlockSaddle) -> bounds.GapCertificate:
     """Gap interval (-2 beta_1/(alpha + sqrt(alpha^2 + 4)), beta_1) around zero.
 
     beta_1 = min ||B^T x|| over unit x (so B^T must have full column
@@ -219,11 +205,11 @@ def new_gap_estimate(S: StokesMatrix) -> bounds.GapCertificate:
     when k > m.  For square B this also bounds
     ||H^{-1}|| <= ||B^{-1}|| (alpha + sqrt(alpha^2 + 4))/2.
     """
-    s = np.linalg.svd(S.B, compute_uv=False)
-    if S.m > S.k or s.size < S.m or s[0] == 0.0 or s[-1] <= max(S.m, S.k) * EPS * s[0]:
+    U, s, _ = S.svd_B
+    if S.m > S.k or not linalg.definite(s, S.k * EPS):
         raise RankDeficient("B^T must have full column rank for the gap estimate")
     beta1 = float(s[-1])
-    alpha = bounds.alpha_relative(S.A, S.B)
+    alpha = linalg.relative_size(S.A, U, s)
     denom = alpha + float(np.hypot(alpha, 2.0))
     inv_bound = denom / (2.0 * beta1) if S.m == S.k else None
     return bounds.GapCertificate(

@@ -5,12 +5,15 @@ and asserts it, so `pytest -v -s tests/test_acceptance.py` doubles as
 the human-readable acceptance report.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import gapcert
 from gapcert import bounds, linalg, model, stokes
 from gapcert.bounds import BlockSaddle
 from gapcert.errors import B22Singular, DimensionMismatch, UnboundedRelativeBound
@@ -334,11 +337,14 @@ def test_ac12_cli_determinism():
         ["counterexamples", "--t-range", "5:20:31", "--format", "json"],
         ["model", "secular", "-m", "25", "-c", "0.5", "--format", "json"],
     ]
+    # the child interpreters import the same gapcert as this process
+    src = str(Path(gapcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     ok = True
     for cmd in commands:
         runs = [
             subprocess.run(
-                [sys.executable, "-m", "gapcert.cli", *cmd], capture_output=True, check=False
+                [sys.executable, "-m", "gapcert.cli", *cmd], capture_output=True, check=False, env=env
             )
             for _ in range(2)
         ]

@@ -25,11 +25,29 @@ def test_block_saddle_validation():
         BlockSaddle(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), np.eye(2))
     with pytest.raises(NotPSD):
         BlockSaddle(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(NotPSD):  # indefinite at any scale, not only above 1
+        BlockSaddle(1e-12 * np.diag([1.0, -1.0]), 1e-12 * np.eye(2), np.zeros((2, 2)))
     with pytest.raises(DimensionMismatch):
         BlockSaddle(np.eye(2), np.zeros((3, 2)), np.eye(2))
     S = BlockSaddle(np.eye(2), np.ones((2, 1)), np.eye(1))
     H = S.assemble()
     assert H.shape == (3, 3) and H[2, 2] == -1.0 and H[0, 2] == 1.0
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-80, 1e80, 1e155])
+def test_certificates_scale_covariant(t):
+    rng = np.random.default_rng(11)
+    A, C = rand_pd(rng, 4), rand_pd(rng, 4)
+    B = rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
+    for cert in (
+        bounds.diag_gap,
+        bounds.stretch_certificate,
+        bounds.hbinv_certificate,
+        bounds.zero_dichotomy_certificate,
+    ):
+        ref = np.array(cert(BlockSaddle(A, B, C)).interval)
+        got = np.array(cert(BlockSaddle(t * A, t * B, t * C)).interval) / t
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (cert.__name__, got, ref)
 
 
 def test_null_space_H():

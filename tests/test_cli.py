@@ -1,12 +1,15 @@
 """End-to-end command-line checks: payloads, exit codes, determinism."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from gapcert import matio
 from gapcert.cli import main
+
+from helpers import rand_pd
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -285,3 +288,47 @@ def test_repeat_runs_identical(tmp_path, capsys):
         outs.add(run(capsys, "model", "scan", "-m", "10", "--M", "0,2", "--delta", "0.5")[1])
         outs.add(run(capsys, "counterexamples", "--t-range", "5:20:11")[1])
     assert len(outs) == 3
+
+
+def test_model_verify_grid_without_central_pair(capsys):
+    code, out, _ = run(capsys, "model", "verify", "-m", "2,3", "-c", "0.0,0.7,0.8,1.0,1.5")
+    assert code == 0, out
+
+
+def count_factorizations(monkeypatch) -> Counter:
+    counts: Counter = Counter()
+
+    def counted(kind, fn, when=lambda *a, **k: True):
+        def wrapper(*args, **kwargs):
+            counts[kind] += bool(when(*args, **kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for kind in ("eigh", "eigvalsh", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
+    norm2 = lambda x, ord=None, *a, **k: ord == 2  # noqa: E731
+    monkeypatch.setattr(np.linalg, "norm", counted("norm2", np.linalg.norm, norm2))
+    return counts
+
+
+def test_each_saddle_factorized_once(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 6
+    coupling = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+    definite = write_block(tmp_path / "d.txt", rand_pd(rng, n), coupling, rand_pd(rng, n))
+    stokes_file = write_block(tmp_path / "s.txt", rand_pd(rng, n), coupling)
+    counts = count_factorizations(monkeypatch)
+    # eigh A, eigh C, eigvalsh H, svd B, two Rayleigh eigvalsh, svd Z
+    code, out, _ = run(capsys, "bounds", definite, "--method", "all")
+    skipped = [r["method"] for r in json.loads(out)["results"] if "skipped" in r]
+    assert code == 0 and skipped == ["kirsch"]
+    assert sum(counts.values()) <= 7, counts
+    counts.clear()
+    code, out, _ = run(capsys, "stokes", stokes_file, "--method", "all")
+    intervals = json.loads(out)["intervals"]
+    assert code == 0 and all("skipped" not in v for v in intervals.values())
+    assert sum(counts.values()) <= 8, counts
+    counts.clear()
+    code, _, _ = run(capsys, "bounds", definite, "--method", "diag")
+    assert code == 0 and sum(counts.values()) == 3, counts

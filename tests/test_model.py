@@ -172,6 +172,13 @@ def test_stable_gap_check_patterns():
             assert out["radius"] == 2.0 * abs(c - 1.0)
 
 
+def test_stable_gap_check_without_central_pair():
+    # m (1 - c) <= c: too few sites for the pair to form, so the gap is empty
+    for m, c in ((2, 0.7), (3, 0.8)):
+        out = model.stable_gap_check(m, c)
+        assert out["ok"] and out["expected_count"] == 0 and out["inside_count"] == 0, out
+
+
 def test_modified_k0_squares_to_four():
     Kt, _ = model.build_modified(ModelSpec(4, 0.0))
     assert np.array_equal(Kt @ Kt, 4.0 * np.eye(8))
