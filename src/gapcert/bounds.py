@@ -247,8 +247,9 @@ def verify_norm_floor(A: np.ndarray, C: np.ndarray) -> tuple[float, bool]:
         raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
     AC = A @ C
     norm = linalg.op_norm(np.eye(A.shape[0]) + AC)
+    # AC counts as zero relative to ||A|| ||C||, the scale its rounding error has
     scale = np.max(np.abs(wa), initial=0.0) * np.max(np.abs(wc), initial=0.0)
-    zero = linalg.op_norm(AC) <= 1e-12 * max(1.0, scale)
+    zero = linalg.op_norm(AC) <= 1e-12 * scale
     return norm, zero
 
 
@@ -349,6 +350,11 @@ def kirsch_certificate(A: np.ndarray, B: np.ndarray) -> GapCertificate:
     B, (wb, _) = _psd_eig(B, "B")
     if A.shape != B.shape:
         raise DimensionMismatch(f"A and B must share a shape, got {A.shape} and {B.shape}")
+    return _kirsch(wa, wb)
+
+
+def _kirsch(wa: np.ndarray, wb: np.ndarray) -> GapCertificate:
+    # wa, wb: ascending eigenvalues of the validated blocks A and B
     if not (linalg.definite(wa) or linalg.definite(wb)):
         raise BothSemidefiniteSingular("both A and B have smallest eigenvalue zero")
     amin = max(float(wa[0]), 0.0)
@@ -364,10 +370,14 @@ def kirsch_certificate(A: np.ndarray, B: np.ndarray) -> GapCertificate:
 
 
 def kirsch_saddle_certificate(H: BlockSaddle) -> GapCertificate:
-    """kirsch_certificate(A, B) for a saddle in the form [[A, B], [B, -A]]."""
+    """kirsch_certificate(A, B) for a saddle in the form [[A, B], [B, -A]].
+
+    Reads the eigenvalues of A the saddle keeps; only B is factorized.
+    """
     if H.m != H.k or np.max(np.abs(H.C - H.A)) > 1e-12 * np.max(np.abs(H.A)):
         raise ValueError("kirsch form needs square blocks with C = A")
-    return kirsch_certificate(H.A, H.B)
+    _, (wb, _) = _psd_eig(H.B, "B")
+    return _kirsch(H.eig_A.values, wb)
 
 
 def winklmeier_bound(H: BlockSaddle) -> float:

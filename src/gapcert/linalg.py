@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotFinite, NotPSD, NotSymmetric, Singular, UnboundedRelativeBound
 
@@ -185,10 +184,12 @@ def complex_svd_via_embedding(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
     """Singular values of a bidiagonal matrix to high relative accuracy.
 
-    The dense matrix is handed to the QR-based SVD driver, whose
-    bidiagonal reduction is a no-op on upper bidiagonal input, so the
-    zero-shift QR sweep determines every singular value to a relative
-    accuracy independent of the condition number.  Lower bidiagonal input
+    The dense upper bidiagonal goes to numpy's SVD without vectors.  Its
+    bidiagonal reduction is a no-op on that input, and LAPACK's
+    values-only path (dgesdd with JOBZ='N': dbdsdc -> dlasdq -> dbdsqr ->
+    dlasq1) ends in dqds, which determines every singular value of a
+    bidiagonal to a relative accuracy independent of the condition number
+    (Demmel-Kahan 1990; Fernando-Parlett 1994).  Lower bidiagonal input
     is transposed first.
     """
     d = require_finite(T.diag, "diag")
@@ -198,8 +199,7 @@ def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
     M = T.dense()
     if T.orientation == "lower":
         M = M.T
-    s = scipy.linalg.svd(M, compute_uv=False, lapack_driver="gesvd")
-    return s
+    return np.linalg.svd(M, compute_uv=False)
 
 
 def null_space_basis(M: np.ndarray, tol_rank: float | None = None) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 Matrix format: a header line ``rows cols`` followed by ``rows`` lines of
 ``cols`` whitespace-separated numbers.  Lines may carry ``#`` comments.
+Numbers are read by numpy's text parser, which takes the forms ``float()``
+takes except underscores (``1_000``) and non-ASCII digits; such a token
+is a non-numeric entry.
 
 Block file format: three sections headed by bare ``A``, ``B``, ``C``
 lines, each followed by a matrix.  The ``C`` section may instead hold
@@ -25,6 +28,29 @@ def _logical_lines(text: str) -> list[str]:
     return out
 
 
+def _parse_body(body: list[str], cols: int) -> np.ndarray:
+    """The rows of a matrix body as one array, converted in a single call.
+
+    On failure the rows are scanned one by one, so the error names the
+    first row with the wrong number of entries or a non-numeric one.
+    """
+    try:
+        data = np.loadtxt(body, dtype=float, ndmin=2, comments=None)
+    except ValueError:
+        data = None
+    if data is not None and data.shape == (len(body), cols):
+        return data
+    for i, line in enumerate(body):
+        parts = line.split()
+        if len(parts) != cols:
+            raise ParseError(f"row {i + 1} has {len(parts)} entries, expected {cols}")
+        try:
+            np.loadtxt([line], dtype=float, comments=None)
+        except ValueError:
+            raise ParseError(f"row {i + 1} contains a non-numeric entry") from None
+    raise ParseError(f"matrix body does not parse as {len(body)}x{cols}")
+
+
 def _parse_matrix_at(lines: list[str], pos: int) -> tuple[np.ndarray, int]:
     if pos >= len(lines):
         raise ParseError("expected a matrix header, got end of input")
@@ -39,15 +65,7 @@ def _parse_matrix_at(lines: list[str], pos: int) -> tuple[np.ndarray, int]:
         raise ParseError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if pos + 1 + rows > len(lines):
         raise ParseError(f"matrix body truncated: expected {rows} rows")
-    data = np.zeros((rows, cols))
-    for i in range(rows):
-        parts = lines[pos + 1 + i].split()
-        if len(parts) != cols:
-            raise ParseError(f"row {i + 1} has {len(parts)} entries, expected {cols}")
-        try:
-            data[i] = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"row {i + 1} contains a non-numeric entry") from None
+    data = _parse_body(lines[pos + 1 : pos + 1 + rows], cols)
     if not np.all(np.isfinite(data)):
         raise ParseError("matrix contains non-finite entries")
     return data, pos + 1 + rows

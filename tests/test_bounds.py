@@ -121,6 +121,12 @@ def test_verify_norm_floor():
     assert norm == pytest.approx(2.0) and not zero
 
 
+def test_verify_norm_floor_is_scale_relative():
+    # AC = 1e-14 I is as far from zero as AC = I, relative to ||A|| ||C||
+    norm, zero = bounds.verify_norm_floor(1e-7 * np.eye(2), 1e-7 * np.eye(2))
+    assert norm > 1.0 and not zero
+
+
 def test_omladic_growth():
     for t in (1.0, 10.0, 100.0):
         A, C = bounds.omladic_pair(t)

@@ -1,11 +1,16 @@
 """End-to-end command-line checks: payloads, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapcert
 from gapcert import matio
 from gapcert.cli import main
 
@@ -318,6 +323,8 @@ def test_each_saddle_factorized_once(tmp_path, capsys, monkeypatch):
     coupling = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
     definite = write_block(tmp_path / "d.txt", rand_pd(rng, n), coupling, rand_pd(rng, n))
     stokes_file = write_block(tmp_path / "s.txt", rand_pd(rng, n), coupling)
+    A = rand_pd(rng, n)
+    kirsch_file = write_block(tmp_path / "k.txt", A, rand_pd(rng, n), A)
     counts = count_factorizations(monkeypatch)
     # eigh A, eigh C, eigvalsh H, svd B, two Rayleigh eigvalsh, svd Z
     code, out, _ = run(capsys, "bounds", definite, "--method", "all")
@@ -332,3 +339,24 @@ def test_each_saddle_factorized_once(tmp_path, capsys, monkeypatch):
     counts.clear()
     code, _, _ = run(capsys, "bounds", definite, "--method", "diag")
     assert code == 0 and sum(counts.values()) == 3, counts
+    counts.clear()
+    # the seven above, and eigh B for kirsch, which reads A's eigenvalues
+    code, out, _ = run(capsys, "bounds", kirsch_file, "--method", "all")
+    assert code == 0 and all("skipped" not in r for r in json.loads(out)["results"])
+    assert sum(counts.values()) <= 8, counts
+
+
+def test_runtime_loads_no_scipy():
+    # the package needs only numpy at run time; a fresh interpreter shows
+    # what a CLI call loads, which this test process (holding scipy) cannot
+    src = str(Path(gapcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = (
+        "import json, sys\n"
+        "from gapcert.cli import main\n"
+        "code = main(['model', 'stable-gap', '-m', '300', '-c', '0.5'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]

@@ -131,16 +131,19 @@ def _sturm_smallest_eig_W(m: int) -> float:
         return float((lo + hi) / 2)
 
 
-def test_bidiag_svd_high_relative_accuracy():
-    # T is the m=50 chain factor whose smallest singular value ~ 6.7e-16;
-    # a dense eigensolver loses it entirely, the HRA route keeps 15 digits
-    m = 50
+@pytest.mark.parametrize(
+    "m, frozen", [(50, 6.6613381477509392e-16), (100, 5.9164567891575885e-31)], ids=["m=50", "m=100"]
+)
+def test_bidiag_svd_high_relative_accuracy(m, frozen):
+    # T is the chain factor whose smallest singular value is ~ 6.7e-16 at
+    # m=50 and ~ 5.9e-31 at m=100; a dense eigensolver loses it entirely,
+    # the HRA route keeps 15 digits
     T = Bidiagonal(np.full(m, 0.5), np.ones(m - 1), "lower")
     s = linalg.bidiag_svd_hra(T)
     lam = float(s[-1]) ** 2
     oracle = _sturm_smallest_eig_W(m)
     assert abs(lam - oracle) / oracle < 1e-12
-    assert float(s[-1]) == pytest.approx(6.6613381477509392e-16, rel=1e-12)
+    assert float(s[-1]) == pytest.approx(frozen, rel=1e-12)
 
 
 def test_null_space_basis():

@@ -38,6 +38,26 @@ def test_matrix_parse_errors(text):
         matio.parse_matrix(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2\n1 2\n3\n", "row 2 has 1 entries, expected 2"),
+        ("2 2\n1 2\n3 4 5\n", "row 2 has 3 entries, expected 2"),
+        ("2 2\n1 x\n3\n", "row 1 contains a non-numeric entry"),
+    ],
+)
+def test_matrix_parse_error_names_first_bad_row(text, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        matio.parse_matrix(text)
+
+
+@pytest.mark.parametrize("token", ["1_000", "\u0661\u0662"])
+def test_matrix_rejects_tokens_numpy_does_not_read(token):
+    # float() reads underscores and non-ASCII digits; numpy's parser does not
+    with pytest.raises(ParseError, match="^row 1 contains a non-numeric entry$"):
+        matio.parse_matrix(f"1 2\n1 {token}\n")
+
+
 def test_block_saddle_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     G = rng.standard_normal((3, 3))
