@@ -23,29 +23,24 @@ from .errors import (
     DimensionMismatch,
     NegativeDiscriminant,
     NotDefinite,
-    NotPSD,
-    NotSymmetric,
     UnboundedRelativeBound,
 )
 
 
-def _psd_eig(M: np.ndarray, name: str) -> tuple[np.ndarray, linalg.EigenDecomposition]:
-    """Validate a symmetric positive semidefinite matrix; return it and its eigenpairs.
+def _psd_pair(A: np.ndarray, C: np.ndarray, names: str = "AC"):
+    """Validate two equal-shaped positive semidefinite blocks.
 
-    Both tolerances are relative to the matrix's own scale: a symmetry
-    defect above 1e-12 of it, or an eigenvalue below -1e-10 of it, fails.
+    Returns A, C as arrays and their eigenpairs; `names` labels the two
+    blocks in error messages.
     """
-    M = linalg.require_finite(M, name)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetric(f"{name} must be square, got shape {M.shape}")
-    scale = linalg.op_norm_bound(M)
-    defect = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if defect > 1e-12 * scale:
-        raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
-    w, V = np.linalg.eigh((M + M.T) / 2.0)
-    if w.size and w[0] < -1e-10 * scale:
-        raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}, not positive semidefinite")
-    return M, linalg.EigenDecomposition(w, V)
+    A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
+    eig_A = linalg.sym_eig(A, names[0], psd=True)
+    eig_C = linalg.sym_eig(C, names[1], psd=True)
+    if A.shape != C.shape:
+        raise DimensionMismatch(
+            f"{names[0]} and {names[1]} must share a shape, got {A.shape} and {C.shape}"
+        )
+    return A, C, eig_A, eig_C
 
 
 def _read_only(arrays):
@@ -74,8 +69,10 @@ class BlockSaddle:
     C: np.ndarray
 
     def __post_init__(self):
-        A, eig_A = _psd_eig(self.A, "A")
-        C, eig_C = _psd_eig(self.C, "C")
+        A = np.asarray(self.A, dtype=float)
+        eig_A = linalg.sym_eig(A, "A", psd=True)
+        C = np.asarray(self.C, dtype=float)
+        eig_C = linalg.sym_eig(C, "C", psd=True)
         B = np.atleast_2d(linalg.require_finite(self.B, "B"))
         if B.shape != (A.shape[0], C.shape[0]):
             raise DimensionMismatch(
@@ -220,10 +217,7 @@ def inv_IplusAC_bound(A: np.ndarray, C: np.ndarray) -> float:
     ||A||^(1/2)||L^T C||, ||C||^(1/2)||A M|| and
     ||A||^(1/2)||C||^(1/2)||L^T M||.
     """
-    A, (wa, VA) = _psd_eig(A, "A")
-    C, (wc, VC) = _psd_eig(C, "C")
-    if A.shape != C.shape:
-        raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
+    A, C, (wa, VA), (wc, VC) = _psd_pair(A, C)
     wa, wc = np.clip(wa, 0.0, None), np.clip(wc, 0.0, None)
     FA, FC = VA * np.sqrt(wa), VC * np.sqrt(wc)
     RA = FA @ VA.T
@@ -241,22 +235,13 @@ def inv_IplusAC_bound(A: np.ndarray, C: np.ndarray) -> float:
 
 def verify_norm_floor(A: np.ndarray, C: np.ndarray) -> tuple[float, bool]:
     """Return (||I + AC||, flag); the norm is >= 1 with equality iff AC = 0."""
-    A, (wa, _) = _psd_eig(A, "A")
-    C, (wc, _) = _psd_eig(C, "C")
-    if A.shape != C.shape:
-        raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
+    A, C, (wa, _), (wc, _) = _psd_pair(A, C)
     AC = A @ C
     norm = linalg.op_norm(np.eye(A.shape[0]) + AC)
     # AC counts as zero relative to ||A|| ||C||, the scale its rounding error has
     scale = np.max(np.abs(wa), initial=0.0) * np.max(np.abs(wc), initial=0.0)
     zero = linalg.op_norm(AC) <= 1e-12 * scale
     return norm, zero
-
-
-def alpha_relative(M: np.ndarray, B: np.ndarray) -> float:
-    """Largest eigenvalue of (BB^T)^{-1/4} M (BB^T)^{-1/4}."""
-    U, s, _ = np.linalg.svd(B, full_matrices=False)
-    return linalg.relative_size(M, U, s)
 
 
 def relative_bounds(H: BlockSaddle) -> RelativeBounds:
@@ -346,10 +331,7 @@ def kirsch_certificate(A: np.ndarray, B: np.ndarray) -> GapCertificate:
     A and B must be symmetric positive semidefinite of equal size, at
     least one of them definite.
     """
-    A, (wa, _) = _psd_eig(A, "A")
-    B, (wb, _) = _psd_eig(B, "B")
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"A and B must share a shape, got {A.shape} and {B.shape}")
+    _, _, (wa, _), (wb, _) = _psd_pair(A, B, "AB")
     return _kirsch(wa, wb)
 
 
@@ -376,8 +358,7 @@ def kirsch_saddle_certificate(H: BlockSaddle) -> GapCertificate:
     """
     if H.m != H.k or np.max(np.abs(H.C - H.A)) > 1e-12 * np.max(np.abs(H.A)):
         raise ValueError("kirsch form needs square blocks with C = A")
-    _, (wb, _) = _psd_eig(H.B, "B")
-    return _kirsch(H.eig_A.values, wb)
+    return _kirsch(H.eig_A.values, linalg.sym_eig(H.B, "B", psd=True).values)
 
 
 def winklmeier_bound(H: BlockSaddle) -> float:
@@ -416,10 +397,7 @@ def func_calc_AC(A: np.ndarray, C: np.ndarray, f0: float, f1) -> np.ndarray:
     Meaningful for functions with f(x) = f0 + x f1(x); the inner argument
     is symmetric PSD, so f1 only ever sees the nonnegative eigenvalues.
     """
-    A, _ = _psd_eig(A, "A")
-    C, (wc, VC) = _psd_eig(C, "C")
-    if A.shape != C.shape:
-        raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
+    A, C, _, (wc, VC) = _psd_pair(A, C)
     R = (VC * np.sqrt(np.clip(wc, 0.0, None))) @ VC.T
     w, V = linalg.sym_eig(R @ A @ R)
     w = np.clip(w, 0.0, None)
@@ -487,7 +465,7 @@ def eig_4x4(p: Quartic4x4Params) -> np.ndarray:
     else:
         c0 = abs(np.linalg.det(A - B)) ** 2
     disc = s * s - c0
-    if disc < -1e-12 * max(s * s, 1.0):
+    if disc < -1e-12 * s * s:
         raise NegativeDiscriminant(f"s^2 - c0 = {disc:.3e} < 0; parameters inconsistent")
     root = np.sqrt(max(disc, 0.0))
     lo = np.sqrt(max(s - root, 0.0))

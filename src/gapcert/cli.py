@@ -83,10 +83,14 @@ def _oracle(evals: np.ndarray) -> dict:
     }
 
 
+def _margin(evals: np.ndarray) -> float:
+    """Rounding allowance for verdicts: 1e-10 of the largest |eigenvalue|."""
+    return 1e-10 * max(abs(float(evals[0])), abs(float(evals[-1])))
+
+
 def _verdict(cert: bounds.GapCertificate, evals: np.ndarray) -> str:
     """Check a certificate against independently computed eigenvalues."""
-    scale = max(1.0, abs(float(evals[0])), abs(float(evals[-1])))
-    margin = 1e-10 * scale
+    margin = _margin(evals)
     lo, hi = cert.interval
     inside = evals[(evals > lo + margin) & (evals < hi - margin)]
     if cert.claim == "excludes_nonzero":
@@ -162,7 +166,7 @@ def _cmd_stokes(args) -> int:
         _emit(_csv(["index", "branch", "value"], rows), args.output)
         return 0
     evals = S.eigvals_H
-    margin = 1e-10 * max(1.0, abs(float(evals[0])), abs(float(evals[-1])))
+    margin = _margin(evals)
     entries: dict[str, dict] = {}
     sources = [
         ("minimal", lambda: stokes.minimal_intervals(S, args.tol_rank)),
@@ -311,12 +315,13 @@ def _model_verify(m_list: list[int], c_list: list[float]) -> list[tuple[str, boo
             scale = max(1.0, abs(float(wh[0])), abs(float(wh[-1])))
             wk = np.linalg.eigvalsh(model.build_Kc(spec))
             note("unitary_equivalence", np.max(np.abs(wh - wk)) / scale)
-            note("bidiagonal_factorization", np.max(np.abs(wh - model.hc_spectrum(spec))) / scale)
+            hs = model.hc_spectrum(spec)
+            note("bidiagonal_factorization", np.max(np.abs(wh - hs)) / scale)
             W = model.build_Wc(spec)
             Tmc = model.build_Tc(spec).dense()
             Tmc[np.diag_indices(m)] *= -1.0
             note("gram_identity", np.max(np.abs(W - Tmc.T @ Tmc)))
-            sv = np.sort(np.asarray(model.hc_spectrum(spec)[m:])) / 2.0
+            sv = np.sort(hs[m:]) / 2.0
             ww = np.linalg.eigvalsh(W)
             note("gram_spectrum", np.max(np.abs(np.sort(sv**2) - ww)) / max(1.0, scale**2))
             if c > 0.0:

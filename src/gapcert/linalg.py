@@ -55,18 +55,24 @@ def require_finite(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def sym_eig(M: np.ndarray, tol_sym: float | None = None) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix, values ascending."""
-    M = require_finite(M)
+def sym_eig(M: np.ndarray, name: str = "matrix", psd: bool = False) -> EigenDecomposition:
+    """Eigendecomposition of a real symmetric matrix, values ascending.
+
+    The package's one symmetry and semidefiniteness check.  Both
+    tolerances are relative to the matrix's own scale: a symmetry defect
+    above 1e-12 of it fails, and with psd=True so does an eigenvalue below
+    -1e-10 of it.
+    """
+    M = require_finite(M, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
+        raise NotSymmetric(f"{name} must be square, got shape {M.shape}")
     scale = op_norm_bound(M)
-    if tol_sym is None:
-        tol_sym = 1e-12 * max(scale, 1.0)
     defect = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if defect > tol_sym:
-        raise NotSymmetric(f"symmetry defect {defect:.3e} exceeds tolerance {tol_sym:.3e}")
+    if defect > 1e-12 * scale:
+        raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
+    if psd and w.size and w[0] < -1e-10 * scale:
+        raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}, not positive semidefinite")
     return EigenDecomposition(w, V)
 
 
@@ -116,33 +122,20 @@ def relative_size(M: np.ndarray, U: np.ndarray, s: np.ndarray) -> float:
     return max(float(w[-1]), 0.0)
 
 
-def psd_sqrt(M: np.ndarray, tol_psd: float | None = None) -> np.ndarray:
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-tol_psd, 0) are treated as rounding and clipped to
-    zero; anything below -tol_psd raises NotPSD.
+    Eigenvalues that `sym_eig` accepts as rounding below zero are clipped
+    to zero.
     """
-    w, V = sym_eig(M)
-    if tol_psd is None:
-        tol_psd = 1e-10 * max(op_norm_bound(M), 1.0)
-    if w.size and w[0] < -tol_psd:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol_psd:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
+    w, V = sym_eig(M, psd=True)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
 def psd_factor(M: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
     """Factor a PSD matrix as M = L L^T with rank(M) columns in L."""
-    w, V = sym_eig(M)
-    if tol_rank is None:
-        tol_rank = w.size * EPS
-    tol_psd = 1e-10 * max(op_norm_bound(M), 1.0)
-    if w.size and w[0] < -tol_psd:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol_psd:.3e}")
-    wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= 0.0:
-        return np.zeros((w.size, 0))
-    keep = w > tol_rank * wmax
+    w, V = sym_eig(M, psd=True)
+    keep = ~negligible(w, tol_rank)
     return V[:, keep] * np.sqrt(w[keep])
 
 
@@ -152,8 +145,7 @@ def polar_factors(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise Singular(f"polar factors need a square matrix, got {B.shape}")
     u, s, vt = np.linalg.svd(B)
-    n = B.shape[0]
-    if s.size == 0 or s[-1] <= n * EPS * (s[0] if s.size else 0.0):
+    if not definite(s):
         raise Singular("matrix is singular to working precision")
     U = u @ vt
     P = (vt.T * s) @ vt
@@ -163,22 +155,15 @@ def polar_factors(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def complex_svd_via_embedding(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Singular values of A + iB, both real symmetric, via a real embedding.
 
-    The symmetric matrix [[A, B], [B, -A]] has spectrum +-sigma(A + iB),
-    so the n largest eigenvalues are the wanted singular values, returned
-    descending.
+    The matrix E = [[A, B], [B, -A]] is symmetric exactly when A and B
+    are, and has spectrum +-sigma(A + iB), so the n largest eigenvalues
+    are the wanted singular values, returned descending.
     """
-    A = require_finite(A, "A")
-    B = require_finite(B, "B")
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"blocks must be square and equal-shaped, got {A.shape} and {B.shape}")
-    for name, M in (("A", A), ("B", B)):
-        defect = np.max(np.abs(M - M.T)) if M.size else 0.0
-        if defect > 1e-12 * max(op_norm_bound(M), 1.0):
-            raise NotSymmetric(f"block {name} is not symmetric (defect {defect:.3e})")
-    n = A.shape[0]
-    E = np.block([[A, B], [B, -A]])
-    w = np.linalg.eigvalsh(E)
-    return w[n:][::-1]
+    w = sym_eig(np.block([[A, B], [B, -A]]), "[[A, B], [B, -A]]").values
+    return w[A.shape[0]:][::-1]
 
 
 def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
@@ -216,7 +201,7 @@ def null_space_basis(M: np.ndarray, tol_rank: float | None = None) -> np.ndarray
     if M.size == 0 or not np.any(M):
         return np.eye(n)
     _, s, vt = np.linalg.svd(M, full_matrices=True)
-    cutoff = tol_rank * s[0]
     # rows of vt beyond min(m, n) span directions M maps to zero exactly
-    null_rows = [i for i in range(n) if i >= s.size or s[i] <= cutoff]
-    return vt[null_rows].T if null_rows else np.zeros((n, 0))
+    null = np.ones(n, dtype=bool)
+    null[: s.size] = negligible(s, tol_rank)
+    return vt[null].T

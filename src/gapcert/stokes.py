@@ -37,11 +37,7 @@ class StokesMatrix(bounds.BlockSaddle):
 
     def nab_holds(self, tol_rank: float | None = None) -> bool:
         """Whether N(A) and N(B^T) intersect only in zero."""
-        return _nab_holds(self, tol_rank)
-
-
-def _nab_holds(S: bounds.BlockSaddle, tol_rank: float | None) -> bool:
-    return linalg.null_space_basis(np.vstack([S.A, S.B.T]), tol_rank).shape[1] == 0
+        return linalg.null_space_basis(np.vstack([self.A, self.B.T]), tol_rank).shape[1] == 0
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,9 @@ def rayleigh_p(x: np.ndarray, S: bounds.BlockSaddle) -> tuple[float, float]:
     """Branch functionals p_plus(x) >= 0 >= p_minus(x) of the pencil at x.
 
     p_pm(x) = (x^T A x pm sqrt((x^T A x)^2 + 4 ||B^T x||^2)) / 2.
-    x must be a unit vector; a vanishing discriminant means x lies in
-    N(A) cap N(B^T) and the direction is degenerate.
+    x must be a unit vector; a discriminant below 1e-12 of the blocks'
+    scale, squared, means x lies in N(A) cap N(B^T) and the direction is
+    degenerate.  Scaling A and B by t > 0 scales both functionals by t.
     """
     x = linalg.require_finite(np.asarray(x, dtype=float).ravel(), "x")
     if x.size != S.m:
@@ -106,8 +103,9 @@ def rayleigh_p(x: np.ndarray, S: bounds.BlockSaddle) -> tuple[float, float]:
     a = float(x @ S.A @ x)
     b2 = float(np.sum((S.B.T @ x) ** 2))
     delta = a * a + 4.0 * b2
-    scale = linalg.op_norm_bound(S.A) + linalg.op_norm_bound(S.B) ** 2
-    if delta <= (1e-12 * max(scale, 1.0)) ** 2:
+    # A, B and the functionals share one unit, so delta carries its square
+    scale = linalg.op_norm_bound(S.A) + linalg.op_norm_bound(S.B)
+    if delta <= (1e-12 * scale) ** 2:
         raise DegenerateDirection("discriminant vanishes: x in N(A) and N(B^T)")
     root = float(np.sqrt(delta))
     return (a + root) / 2.0, (a - root) / 2.0
@@ -116,17 +114,13 @@ def rayleigh_p(x: np.ndarray, S: bounds.BlockSaddle) -> tuple[float, float]:
 def pencil_spectrum(S: bounds.BlockSaddle, tol_rank: float | None = None) -> PencilSpectrum:
     """Classify the spectrum of H into pencil branches."""
     w = S.eigvals_H
-    n = w.size
-    if tol_rank is None:
-        tol_rank = n * EPS
-    cutoff = tol_rank * max(abs(float(w[0])), abs(float(w[-1])), 0.0)
-    neg = w[w < -cutoff]
-    pos = w[w > cutoff]
+    neg = w[~linalg.negligible(-w, tol_rank)]
+    pos = w[~linalg.negligible(w, tol_rank)]
     if pos.size != S.m:
         raise NABViolated(
             f"expected {S.m} positive eigenvalues, found {pos.size}; N(A) meets N(B^T)"
         )
-    zero_mult = n - neg.size - pos.size
+    zero_mult = w.size - neg.size - pos.size
     lam_minus = np.concatenate([neg, np.zeros(S.m - neg.size)])
     return PencilSpectrum(lam_minus, pos[::-1], int(zero_mult))
 
@@ -135,10 +129,10 @@ def minimal_intervals(S: bounds.BlockSaddle, tol_rank: float | None = None) -> I
     """Tightest branch enclosures: extremal eigenvalues of each branch.
 
     i_plus spans the positive eigenvalues; i_minus spans the strict
-    negatives (collapsing to (0, 0) if B = 0 leaves none).
+    negatives (collapsing to (0, 0) if B = 0 leaves none).  Raises
+    NABViolated through `pencil_spectrum` when N(A) meets N(B^T), the case
+    in which fewer than m eigenvalues are positive.
     """
-    if not _nab_holds(S, tol_rank):
-        raise NABViolated("N(A) and N(B^T) intersect nontrivially")
     ps = pencil_spectrum(S, tol_rank)
     strict = ps.strict_minus
     i_minus = (float(strict[0]), float(strict[-1])) if strict.size else (0.0, 0.0)

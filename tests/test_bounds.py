@@ -335,6 +335,22 @@ def test_eig_4x4_against_dense():
         assert np.allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()))
 
 
+@pytest.mark.parametrize("t", [1e-60, 1e-20, 1e20, 1e60])
+def test_eig_4x4_scale_covariant(t):
+    # A = 1.1 I, B = 0.7 I is a double pair: s^2 - c0 is zero up to rounding
+    # at every scale, the discriminant test must accept it at each, and the
+    # square root of that rounding leaves about 8 digits
+    for p, rtol in (
+        (Quartic4x4Params(1.1, 1.1, b_plus=(0.7, 0.0), b_minus=(0.7, 0.0)), 1e-7),
+        (Quartic4x4Params(1.0, 2.0, (0.5, 0.5), (0.1, -0.2), (1.0, 0.0), sign=1), 1e-12),
+    ):
+        pt = Quartic4x4Params(
+            t * p.a_plus, t * p.a_minus,
+            *[(t * re, t * im) for re, im in (p.a, p.b, p.b_plus, p.b_minus)], sign=p.sign,
+        )
+        assert np.allclose(bounds.eig_4x4(pt) / t, bounds.eig_4x4(p), rtol=rtol, atol=0.0)
+
+
 def test_eig_4x4_sign_conventions():
     with pytest.raises(ValueError):
         Quartic4x4Params(1.0, 1.0, b_plus=(1.0, 0.0), sign=-1)

@@ -30,6 +30,9 @@ def test_sym_eig_reconstructs():
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         linalg.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the symmetry test is relative: a defect as large as the entries fails at any scale
+    with pytest.raises(NotSymmetric):
+        linalg.sym_eig(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_op_norm_matches_svd():
@@ -48,6 +51,8 @@ def test_psd_sqrt_squares_back():
         assert np.allclose(R, R.T)
     with pytest.raises(NotPSD):
         linalg.psd_sqrt(np.diag([1.0, -1.0]))
+    with pytest.raises(NotPSD):
+        linalg.psd_sqrt(1e-12 * np.diag([1.0, -1.0]))
 
 
 def test_psd_factor_rank_and_product():
@@ -58,6 +63,8 @@ def test_psd_factor_rank_and_product():
         assert L.shape == (n, r)
         assert np.allclose(L @ L.T, M, atol=1e-10 * max(1.0, linalg.op_norm(M)))
     assert linalg.psd_factor(np.zeros((3, 3))).shape == (3, 0)
+    with pytest.raises(NotPSD):
+        linalg.psd_factor(1e-12 * np.diag([1.0, -1.0]))
 
 
 def test_polar_factors():
@@ -79,6 +86,8 @@ def test_complex_svd_via_embedding():
         got = linalg.complex_svd_via_embedding(A, B)
         want = np.linalg.svd(A + 1j * B, compute_uv=False)
         assert np.allclose(got, want, atol=1e-10 * max(1.0, want[0]))
+    with pytest.raises(NotSymmetric):
+        linalg.complex_svd_via_embedding(1e-13 * np.triu(np.ones((2, 2))), 1e-13 * np.eye(2))
 
 
 def test_bidiagonal_validation():

@@ -57,6 +57,22 @@ def test_rayleigh_validation():
         stokes.rayleigh_p(np.array([0.0, 1.0]), S)  # e2 kills both A and B^T
 
 
+@pytest.mark.parametrize("t", [1e-100, 1e-50, 1e50, 1e100])
+def test_rayleigh_scale_covariant(t):
+    # scaling H by t scales A, B and both functionals by t; the degeneracy
+    # test must make the same decision at every scale
+    S = StokesMatrix(np.diag([2.0, 1e-14, 0.0]), np.array([[1.0], [0.0], [0.0]]))
+    St = StokesMatrix(t * S.A, t * S.B)
+    x = np.array([0.6, 0.0, 0.8])
+    assert stokes.rayleigh_p(x, St) == pytest.approx(
+        tuple(t * v for v in stokes.rayleigh_p(x, S)), rel=1e-14
+    )
+    for e in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
+        for T in (S, St):
+            with pytest.raises(DegenerateDirection):
+                stokes.rayleigh_p(e, T)
+
+
 def test_rayleigh_range_matches_branches():
     # every direction's pair lands between the extreme branch values
     rng = np.random.default_rng(31)
@@ -105,8 +121,22 @@ def test_pencil_spectrum_counts():
 
 def test_pencil_spectrum_nab_violated():
     S = StokesMatrix(np.diag([0.0, 1.0]), np.array([[0.0], [1.0]]))
+    assert not S.nab_holds()
     with pytest.raises(NABViolated):
         stokes.pencil_spectrum(S)
+    with pytest.raises(NABViolated):
+        stokes.minimal_intervals(S)
+    # singular A: N(A) = span(e1) and N(B^T) = span(e1 - e2) meet only in zero
+    A = np.diag([0.0, 2.0, 3.0])
+    S = StokesMatrix(A, np.array([[1.0], [1.0], [0.0]]))
+    assert S.nab_holds()
+    pair = stokes.minimal_intervals(S)
+    evals = np.linalg.eigvalsh(S.assemble())
+    assert pair.i_plus == (float(evals[evals > 0][0]), float(evals[-1]))
+    assert pair.i_minus == (float(evals[0]), float(evals[0]))
+    # A's null vector e1 lies in N(B^T) = span(e1, e3)
+    S = StokesMatrix(A, np.array([[0.0], [1.0], [0.0]]))
+    assert not S.nab_holds()
     with pytest.raises(NABViolated):
         stokes.minimal_intervals(S)
 
