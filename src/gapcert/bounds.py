@@ -399,7 +399,8 @@ def func_calc_AC(A: np.ndarray, C: np.ndarray, f0: float, f1) -> np.ndarray:
     """
     A, C, _, (wc, VC) = _psd_pair(A, C)
     R = (VC * np.sqrt(np.clip(wc, 0.0, None))) @ VC.T
-    w, V = linalg.sym_eig(R @ A @ R)
+    X = R @ A @ R  # symmetric up to rounding of order eps ||A|| ||C||, not of ||X||
+    w, V = np.linalg.eigh((X + X.T) / 2.0)
     w = np.clip(w, 0.0, None)
     vals = np.asarray([float(f1(x)) for x in w])
     F = (V * vals) @ V.T

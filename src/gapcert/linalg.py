@@ -55,6 +55,18 @@ def require_finite(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def _require_symmetric(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    # the symmetry half of sym_eig; returns M and the scale its tolerances use
+    M = require_finite(M, name)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NotSymmetric(f"{name} must be square, got shape {M.shape}")
+    scale = op_norm_bound(M)
+    defect = np.max(np.abs(M - M.T)) if M.size else 0.0
+    if defect > 1e-12 * scale:
+        raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
+    return M, scale
+
+
 def sym_eig(M: np.ndarray, name: str = "matrix", psd: bool = False) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix, values ascending.
 
@@ -63,13 +75,7 @@ def sym_eig(M: np.ndarray, name: str = "matrix", psd: bool = False) -> EigenDeco
     above 1e-12 of it fails, and with psd=True so does an eigenvalue below
     -1e-10 of it.
     """
-    M = require_finite(M, name)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetric(f"{name} must be square, got shape {M.shape}")
-    scale = op_norm_bound(M)
-    defect = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if defect > 1e-12 * scale:
-        raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
+    M, scale = _require_symmetric(M, name)
     w, V = np.linalg.eigh((M + M.T) / 2.0)
     if psd and w.size and w[0] < -1e-10 * scale:
         raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}, not positive semidefinite")
@@ -155,14 +161,15 @@ def polar_factors(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def complex_svd_via_embedding(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Singular values of A + iB, both real symmetric, via a real embedding.
 
-    The matrix E = [[A, B], [B, -A]] is symmetric exactly when A and B
-    are, and has spectrum +-sigma(A + iB), so the n largest eigenvalues
-    are the wanted singular values, returned descending.
+    Each block is checked for symmetry at its own scale.  The matrix
+    E = [[A, B], [B, -A]] then has spectrum +-sigma(A + iB), so the n
+    largest eigenvalues are the wanted singular values, returned descending.
     """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NotSymmetric(f"blocks must be square and equal-shaped, got {A.shape} and {B.shape}")
-    w = sym_eig(np.block([[A, B], [B, -A]]), "[[A, B], [B, -A]]").values
+    A, _ = _require_symmetric(A, "A")
+    B, _ = _require_symmetric(B, "B")
+    if A.shape != B.shape:
+        raise NotSymmetric(f"blocks must be equal-shaped, got {A.shape} and {B.shape}")
+    w = np.linalg.eigvalsh(np.block([[A, B], [B, -A]]))
     return w[A.shape[0]:][::-1]
 
 

@@ -11,6 +11,7 @@ from gapcert.errors import (
     BNotInvertible,
     BothSemidefiniteSingular,
     DimensionMismatch,
+    NegativeDiscriminant,
     NotDefinite,
     NotPSD,
     NotSymmetric,
@@ -292,9 +293,17 @@ def test_winklmeier_soundness_property():
 
 def test_func_calc_matches_expm():
     rng = np.random.default_rng(16)
+    pairs = []
     for _ in range(50):
         n = int(rng.integers(1, 6))
-        A, C = rand_psd(rng, n), rand_psd(rng, n)
+        pairs.append((rand_psd(rng, n), rand_psd(rng, n)))
+    # rotated projectors onto orthogonal lines: AC = 0, and C^(1/2) A C^(1/2)
+    # is zero up to rounding far below eps ||A|| ||C||
+    for theta in (0.3, 1.0, 2.5):
+        q1 = np.array([np.cos(theta), np.sin(theta)])
+        q2 = np.array([-np.sin(theta), np.cos(theta)])
+        pairs.append((np.outer(q1, q1), np.outer(q2, q2)))
+    for A, C in pairs:
         for t in (0.1, 1.0, 10.0):
             got = bounds.func_calc_AC(
                 A, C, 1.0, lambda x, t=t: np.expm1(-t * x) / x if x > 0 else -t
@@ -349,6 +358,13 @@ def test_eig_4x4_scale_covariant(t):
             *[(t * re, t * im) for re, im in (p.a, p.b, p.b_plus, p.b_minus)], sign=p.sign,
         )
         assert np.allclose(bounds.eig_4x4(pt) / t, bounds.eig_4x4(p), rtol=rtol, atol=0.0)
+    # a complex diagonal in B under sign=+1 leaves the closed form's
+    # structure; the constructor rejects it, so it is set afterwards to
+    # reach the discriminant test, which must reject it at every scale
+    p = Quartic4x4Params(t, t)
+    object.__setattr__(p, "b_plus", (0.0, t))
+    with pytest.raises(NegativeDiscriminant):
+        bounds.eig_4x4(p)
 
 
 def test_eig_4x4_sign_conventions():

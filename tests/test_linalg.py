@@ -88,6 +88,8 @@ def test_complex_svd_via_embedding():
         assert np.allclose(got, want, atol=1e-10 * max(1.0, want[0]))
     with pytest.raises(NotSymmetric):
         linalg.complex_svd_via_embedding(1e-13 * np.triu(np.ones((2, 2))), 1e-13 * np.eye(2))
+    with pytest.raises(NotSymmetric):  # each block at its own scale, not the embedding's
+        linalg.complex_svd_via_embedding(1e-13 * np.triu(np.ones((2, 2))), np.eye(2))
 
 
 def test_bidiagonal_validation():
