@@ -185,8 +185,8 @@ def _F(m: int, c: float, al: np.ndarray | float):
     return (1.0 - c * np.cos(al)) * np.sin(m * al) - c * np.cos(m * al) * np.sin(al)
 
 
-def _dF(m: int, c: float, al: float) -> float:
-    return float(
+def _dF(m: int, c: float, al: np.ndarray):
+    return (
         (1.0 + m) * c * np.sin(al) * np.sin(m * al)
         + m * (1.0 - c * np.cos(al)) * np.cos(m * al)
         - c * np.cos(al) * np.cos(m * al)
@@ -198,17 +198,27 @@ def tan_residual(m: int, c: float, al: float) -> float:
     return float(np.tan(m * al) * (1.0 - c * np.cos(al)) / np.sin(al) - c)
 
 
-def _bisect(f, lo: float, hi: float, iters: int) -> float:
-    flo = f(lo)
+def _bisect(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
+    """Bisect every bracket [lo[i], hi[i]] of the elementwise f together.
+
+    Each lane takes the steps of a scalar bisection.  f is flipped to be
+    nonnegative at lo, a sign lo keeps throughout, so a negative midpoint
+    value moves hi, a positive one lo, and an exact zero both, which
+    closes the lane on that midpoint.  Once every lane's midpoint repeats
+    the previous one, the brackets can no longer change and every later
+    step would repeat the last, so the loop stops there.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    sign = np.where(f(lo) < 0.0, -1.0, 1.0)
+    mid = np.full_like(lo, np.nan)
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
+        prev, mid = mid, 0.5 * (lo + hi)
+        if (mid == prev).all():
+            break
+        g = sign * f(mid)
+        hi = np.where(g <= 0.0, mid, hi)
+        lo = np.where(g >= 0.0, mid, lo)
     return 0.5 * (lo + hi)
 
 
@@ -225,8 +235,11 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
 
     The substitution 1 - c e^(alpha0 - delta) = -expm1(-delta) removes
     the cancellation that makes the tanh form unusable once the root is
-    exponentially close to the band edge; bisection runs on log(delta)
-    so roots down to delta ~ e^(-600) resolve at full relative accuracy.
+    exponentially close to the band edge, so that form is used for
+    delta <= alpha0/2 and the tanh form beyond.  The trigonometric
+    solver's _bisect runs on log(delta) as a single lane of up to 120
+    steps, so roots down to delta ~ e^(-600) resolve at full relative
+    accuracy.
     """
     a0 = _alpha0(c)
     if 2.0 * m * a0 > 600.0:
@@ -234,19 +247,19 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
         log_lam = 2.0 * np.log1p(-c * c) + 2.0 * m * np.log(c)
         return a0, float(log_lam)
 
-    def h(delta: float) -> float:
+    def h(delta: np.ndarray) -> np.ndarray:
         al = a0 - delta
-        if delta <= 0.5 * a0:
-            E = np.exp(-2.0 * m * al)
-            r = 2.0 * E / (1.0 + E)
-            q = (1.0 - c * np.cosh(al)) / np.sinh(al)
-            return float(-np.expm1(-delta) / np.sinh(al) - r * q)
-        return float(np.tanh(m * al) * (1.0 - c * np.cosh(al)) / np.sinh(al) - c)
+        s = np.sinh(al)
+        num = 1.0 - c * np.cosh(al)
+        E = np.exp(-2.0 * m * al)
+        near = -np.expm1(-delta) / s - 2.0 * E / (1.0 + E) * (num / s)
+        far = np.tanh(m * al) * num / s - c
+        return np.where(delta <= 0.5 * a0, near, far)
 
     guess = (1.0 - c * c) * np.exp(-2.0 * m * a0)
     lo_u = np.log(guess) - 30.0
     hi_u = np.log(a0 * (1.0 - 1e-12))
-    u = _bisect(lambda t: h(np.exp(t)), lo_u, hi_u, 120)
+    u = _bisect(lambda t: h(np.exp(t)), [lo_u], [hi_u], 120)[0]
     delta = float(np.exp(u))
     log_lam = np.log(4.0 * c) + _log_sinh(a0 - delta / 2.0) + _log_sinh(delta / 2.0)
     return a0 - delta, float(log_lam)
@@ -256,9 +269,14 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     """All m roots of the secular equation for W_c, split by branch.
 
     Trigonometric roots are bracketed between the poles of tan(m alpha)
-    (plus the sign change of 1 - c cos(alpha) when c > 1), bisected on
-    the smooth form and polished by Newton.  The hyperbolic root, when
-    m(1-c) - c > 0 demands one, is solved separately near alpha0.
+    (plus the sign change of 1 - c cos(alpha) when c > 1).  The smooth
+    form is evaluated once on all bracket points, every sign-changing
+    bracket is bisected together, and each lane is polished by up to
+    three Newton steps that stay inside its bracket.  The bisection makes
+    at most 80 array evaluations (about 55 before every bracket stops
+    moving) where a bracket-by-bracket loop makes about 80 m scalar ones,
+    and finds the same roots.  The hyperbolic root, when m(1-c) - c > 0
+    demands one, is solved separately near alpha0 with the same _bisect.
     """
     if spec.disorder is not None:
         raise ValueError("secular equation is defined for the deterministic model only")
@@ -268,41 +286,38 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     hyp = 0.0 < c < 1.0 and m * (1.0 - c) - c > 0.0
     expected = m - 1 if hyp else m
 
-    pts = [1e-12] + [(2 * j - 1) * np.pi / (2 * m) for j in range(1, m + 1)] + [np.pi - 1e-12]
+    poles = (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)
+    pts = np.concatenate(([1e-12], poles, [np.pi - 1e-12]))
     alpha_hat = float(np.arccos(1.0 / c)) if c > 1.0 else None
     if alpha_hat is not None:
         # a pole coincidence would put a double zero at the bracket edge
-        if min(abs(alpha_hat - p) for p in pts) < 1e-9:
-            pts += [alpha_hat - 1e-9, alpha_hat + 1e-9]
+        if np.min(np.abs(alpha_hat - pts)) < 1e-9:
+            extra = [alpha_hat - 1e-9, alpha_hat + 1e-9]
         else:
-            pts.append(alpha_hat)
-    pts = sorted(p for p in pts if 0.0 < p < np.pi)
+            extra = [alpha_hat]
+        pts = np.concatenate((pts, extra))
+    pts = np.sort(pts[(0.0 < pts) & (pts < np.pi)])
 
-    roots = []
-    vals = [float(_F(m, c, p)) for p in pts]
-    for (lo, flo), (hi, fhi) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if (flo < 0.0) == (fhi < 0.0):
-            continue
-        al = _bisect(lambda t: float(_F(m, c, t)), lo, hi, 80)
+    vals = _F(m, c, pts)
+    exact = vals[:-1] == 0.0
+    bracket = ~exact & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
+    lo, hi = pts[:-1][bracket], pts[1:][bracket]
+    al = _bisect(lambda t: _F(m, c, t), lo, hi, 80)
+    live = np.ones(al.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(3):
             d = _dF(m, c, al)
-            if d == 0.0:
-                break
-            step = float(_F(m, c, al)) / d
-            if not lo < al - step < hi:
-                break
-            al -= step
-        roots.append(al)
-    roots = sorted(set(roots))
-    if len(roots) != expected:
+            live &= d != 0.0
+            nxt = al - _F(m, c, al) / d
+            live &= (lo < nxt) & (nxt < hi)
+            al = np.where(live, nxt, al)
+    roots = np.unique(np.concatenate((pts[:-1][exact], al)))
+    if roots.size != expected:
         raise RootCountMismatch(
-            f"found {len(roots)} trigonometric roots for m={m}, c={c}, expected {expected}"
+            f"found {roots.size} trigonometric roots for m={m}, c={c}, expected {expected}"
         )
     hyp_root = _hyp_root(m, c) if hyp else None
-    return SecularRoots(np.asarray(roots), hyp_root, alpha_hat)
+    return SecularRoots(roots, hyp_root, alpha_hat)
 
 
 def secular_eigenvalues(spec: ModelSpec) -> np.ndarray:
@@ -368,25 +383,33 @@ def stable_gap_check(m: int, c: float) -> dict:
     }
 
 
-def build_modified(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary-modified pair (K_tilde, H_tilde).
+def build_Htilde(spec: ModelSpec) -> np.ndarray:
+    """Boundary-modified H_tilde.
 
-    K_tilde adds +2 at the first and -2 at the last diagonal entry of K;
-    back in the H picture that is rank-two on each block: A gains
-    e1 e1^T - em em^T, B gains e1 e1^T + em em^T.
+    A gains e1 e1^T - em em^T and B gains e1 e1^T + em em^T, a rank-two
+    change on each block.
     """
     m = spec.m
-    Kt = build_Kc(spec)
-    Kt[0, 0] += 2.0
-    Kt[2 * m - 1, 2 * m - 1] -= 2.0
     D = _diagonal_block(spec)
     _, B = build_blocks(spec)
     E = np.zeros((m, m))
     E[0, 0] = 1.0
     F = np.zeros((m, m))
     F[m - 1, m - 1] = 1.0
-    Ht = np.block([[D + E - F, B + E + F], [(B + E + F).T, -D + E - F]])
-    return Kt, Ht
+    return np.block([[D + E - F, B + E + F], [(B + E + F).T, -D + E - F]])
+
+
+def build_modified(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary-modified pair (K_tilde, H_tilde).
+
+    K_tilde adds +2 at the first and -2 at the last diagonal entry of K;
+    back in the H picture that is build_Htilde's rank-two change.
+    """
+    m = spec.m
+    Kt = build_Kc(spec)
+    Kt[0, 0] += 2.0
+    Kt[2 * m - 1, 2 * m - 1] -= 2.0
+    return Kt, build_Htilde(spec)
 
 
 def modified_spectrum_closed_form(spec: ModelSpec) -> np.ndarray:
@@ -444,7 +467,7 @@ def disorder_experiment(spec: ModelSpec, count_near_zero: int = 4) -> DisorderRe
     abs_sorted = np.sort(np.abs(evals))
     dense = np.linalg.eigvalsh(build_Hc(spec))
     defect = float(np.max(np.abs(dense + dense[::-1])))
-    wt = np.linalg.eigvalsh(build_modified(spec)[1])
+    wt = np.linalg.eigvalsh(build_Htilde(spec))
     return DisorderReport(
         eigenvalues=evals,
         near_zero=near,
@@ -469,7 +492,7 @@ def gap_scan(M_list, delta: float, m: int, seed: int) -> list[tuple[float, str, 
         spec = ModelSpec(m, 0.0, DisorderSpec(M - delta, M + delta, seed + i))
         for variant, evals in (
             ("H", hc_spectrum(spec)),
-            ("Htilde", np.linalg.eigvalsh(build_modified(spec)[1])),
+            ("Htilde", np.linalg.eigvalsh(build_Htilde(spec))),
         ):
             rows.extend((float(M), variant, j + 1, float(v)) for j, v in enumerate(evals))
     return rows

@@ -145,6 +145,136 @@ def test_hyperbolic_root_deep_regime():
     assert abs(log_lam - 2.0 * np.log(float(np.min(sv)))) < 1e-8
 
 
+def _scalar_bisect(f, lo, hi, iters):
+    flo = f(lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0.0) != (fm < 0.0):
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def _scalar_hyp_root(m, c):
+    a0 = model._alpha0(c)
+    if 2.0 * m * a0 > 600.0:
+        return a0, float(2.0 * np.log1p(-c * c) + 2.0 * m * np.log(c))
+
+    def h(delta):
+        al = a0 - delta
+        if delta <= 0.5 * a0:
+            E = np.exp(-2.0 * m * al)
+            r = 2.0 * E / (1.0 + E)
+            q = (1.0 - c * np.cosh(al)) / np.sinh(al)
+            return float(-np.expm1(-delta) / np.sinh(al) - r * q)
+        return float(np.tanh(m * al) * (1.0 - c * np.cosh(al)) / np.sinh(al) - c)
+
+    guess = (1.0 - c * c) * np.exp(-2.0 * m * a0)
+    u = _scalar_bisect(lambda t: h(np.exp(t)), np.log(guess) - 30.0, np.log(a0 * (1.0 - 1e-12)), 120)
+    delta = float(np.exp(u))
+    log_lam = np.log(4.0 * c) + model._log_sinh(a0 - delta / 2.0) + model._log_sinh(delta / 2.0)
+    return a0 - delta, float(log_lam)
+
+
+def _scalar_secular(m, c):
+    """Bracket-by-bracket reference: one scalar bisection and Newton polish per root."""
+    hyp = 0.0 < c < 1.0 and m * (1.0 - c) - c > 0.0
+    pts = [1e-12] + [(2 * j - 1) * np.pi / (2 * m) for j in range(1, m + 1)] + [np.pi - 1e-12]
+    alpha_hat = float(np.arccos(1.0 / c)) if c > 1.0 else None
+    if alpha_hat is not None:
+        if min(abs(alpha_hat - p) for p in pts) < 1e-9:
+            pts += [alpha_hat - 1e-9, alpha_hat + 1e-9]
+        else:
+            pts.append(alpha_hat)
+    pts = sorted(p for p in pts if 0.0 < p < np.pi)
+    roots = []
+    vals = [float(model._F(m, c, p)) for p in pts]
+    for (lo, flo), (hi, fhi) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
+        if flo == 0.0:
+            roots.append(lo)
+            continue
+        if (flo < 0.0) == (fhi < 0.0):
+            continue
+        al = _scalar_bisect(lambda t: float(model._F(m, c, t)), lo, hi, 80)
+        for _ in range(3):
+            d = float(model._dF(m, c, al))
+            if d == 0.0:
+                break
+            step = float(model._F(m, c, al)) / d
+            if not lo < al - step < hi:
+                break
+            al -= step
+        roots.append(al)
+    return np.asarray(sorted(set(roots))), _scalar_hyp_root(m, c) if hyp else None, alpha_hat
+
+
+@pytest.mark.parametrize("iters", [5, 80])
+def test_bisect_lanes_match_scalar_bisection(iters):
+    # lanes: an exact zero at the first midpoint, a root off the dyadic
+    # grid, f < 0 at lo with an exact zero at the second midpoint, no
+    # sign change, and the root 0.5 from a bracket whose midpoints miss it
+    def f(t):
+        return (t - 0.5) * (t - 3.3) * (t - 5.25)
+
+    lo = [0.0, 3.0, 4.5, 6.0, 1e-3]
+    hi = [1.0, 4.0, 5.5, 7.0, 0.7]
+    got = model._bisect(f, lo, hi, iters)
+    want = [_scalar_bisect(f, a, b, iters) for a, b in zip(lo, hi)]
+    assert got.tolist() == want
+    assert got[0] == 0.5 and got[2] == 5.25
+
+
+@pytest.mark.parametrize(
+    "m,c",
+    [
+        (2, 1.0),
+        (2, 0.5),
+        (3, 0.5),
+        (9, 0.9),
+        (10, 0.9),
+        (11, 0.9),
+        (7, 1.5),
+        (40, 3.0),
+        (3, 1.0 / np.cos(np.pi / 6.0)),
+        (5, 1.0 / np.cos(3.0 * np.pi / 10.0)),
+        (1000, 0.9),
+        (1000, 1.7),
+        (5000, 0.5),
+        (5000, 1.2),
+    ],
+)
+def test_secular_solve_matches_scalar_reference(m, c):
+    sr = model.secular_solve(ModelSpec(m, c))
+    roots, hyp_root, alpha_hat = _scalar_secular(m, c)
+    assert sr.trig_roots.size == roots.size
+    assert np.all(np.abs(sr.trig_roots - roots) <= 4.0 * np.finfo(float).eps * np.abs(roots))
+    assert sr.hyp_root == hyp_root
+    assert sr.alpha_hat == alpha_hat
+
+
+def test_secular_solve_vectorized(monkeypatch):
+    # every bracket is bisected in the same array call: the number of
+    # evaluations of the secular function does not grow with m
+    calls = [0]
+    F = model._F
+
+    def counted(m, c, al):
+        calls[0] += 1
+        return F(m, c, al)
+
+    monkeypatch.setattr(model, "_F", counted)
+    counts = []
+    for m, c in ((2000, 0.9), (3000, 1.7)):
+        calls[0] = 0
+        model.secular_solve(ModelSpec(m, c))
+        counts.append(calls[0])
+    assert max(counts) <= 90
+
+
 def test_spurious_estimate():
     est = model.spurious_estimate(ModelSpec(50, 0.5))
     assert abs(est.alpha0 - np.log(2.0)) < 1e-14
@@ -187,6 +317,7 @@ def test_modified_k0_squares_to_four():
 def test_modified_unitary_consistency():
     spec = ModelSpec(5, 1.3)
     Kt, Ht = model.build_modified(spec)
+    assert np.array_equal(Ht, model.build_Htilde(spec))
     U = involution(spec.m)
     assert np.allclose(U @ Ht @ U, Kt, atol=1e-13)
 
