@@ -327,9 +327,14 @@ def _model_verify(m_list: list[int], c_list: list[float]) -> list[tuple[str, boo
             ww = np.linalg.eigvalsh(W)
             note("gram_spectrum", np.max(np.abs(np.sort(sv**2) - ww)) / max(1.0, scale**2))
             if c > 0.0:
-                lam = model.secular_eigenvalues(spec)
+                # one secular solve serves the W_c match and the stable-gap pattern
+                sr = model.secular_solve(spec)
+                lam = model.secular_eigenvalues(spec, sr)
                 note("secular_match", np.max(np.abs(lam - ww)))
-            gap_ok = gap_ok and model.stable_gap_check(m, float(c))["ok"]
+                evals = model.secular_hc_spectrum(spec, sr)
+            else:
+                evals = hs
+            gap_ok = gap_ok and model.stable_gap_pattern(m, float(c), evals)["ok"]
             wt = np.linalg.eigvalsh(model.build_Htilde(spec))
             note("modified_symmetry", np.max(np.abs(wt + wt[::-1])) / scale)
             closed = model.modified_spectrum_closed_form(spec)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotFinite, NotPSD, NotSymmetric, Singular, UnboundedRelativeBound
+from .errors import NotFinite, NotPSD, NotSymmetric, UnboundedRelativeBound
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -136,26 +136,6 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """
     w, V = sym_eig(M, psd=True)
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-
-
-def psd_factor(M: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
-    """Factor a PSD matrix as M = L L^T with rank(M) columns in L."""
-    w, V = sym_eig(M, psd=True)
-    keep = ~negligible(w, tol_rank)
-    return V[:, keep] * np.sqrt(w[keep])
-
-
-def polar_factors(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition B = U P with U orthogonal and P symmetric PD."""
-    B = require_finite(B)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise Singular(f"polar factors need a square matrix, got {B.shape}")
-    u, s, vt = np.linalg.svd(B)
-    if not definite(s):
-        raise Singular("matrix is singular to working precision")
-    U = u @ vt
-    P = (vt.T * s) @ vt
-    return U, P
 
 
 def complex_svd_via_embedding(A: np.ndarray, B: np.ndarray) -> np.ndarray:

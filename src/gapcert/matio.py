@@ -130,8 +130,3 @@ def format_block_saddle(H: BlockSaddle) -> str:
     else:
         parts += ["C\n", f"zero {H.C.shape[0]}\n"]
     return "".join(parts)
-
-
-def write_block_saddle(path, H: BlockSaddle) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(format_block_saddle(H))

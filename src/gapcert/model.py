@@ -172,7 +172,10 @@ def hc_spectrum(spec: ModelSpec) -> np.ndarray:
 
 
 def _alpha0(c: float) -> float:
-    return float(np.arccosh((c * c + 1.0) / (2.0 * c)))
+    # arccosh((c^2 + 1) / (2c)) = -log c for 0 < c < 1; the arccosh argument
+    # rounds to 1 + (1-c)^2/(2c) and loses the relative accuracy of alpha0 as
+    # c -> 1, while -log c keeps it (and c e^alpha0 = 1, which _hyp_root uses)
+    return float(-np.log(c))
 
 
 def lambda_of_alpha(c: float, alpha) -> np.ndarray | float:
@@ -191,11 +194,6 @@ def _dF(m: int, c: float, al: np.ndarray):
         + m * (1.0 - c * np.cos(al)) * np.cos(m * al)
         - c * np.cos(al) * np.cos(m * al)
     )
-
-
-def tan_residual(m: int, c: float, al: float) -> float:
-    """Residual of the tangent form of the secular equation at alpha."""
-    return float(np.tan(m * al) * (1.0 - c * np.cos(al)) / np.sin(al) - c)
 
 
 def _bisect(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
@@ -230,16 +228,56 @@ def _log_sinh(x: float) -> float:
     return float(x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x)))
 
 
+def _illinois(h, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of h(u) in (a, b), u = log delta, by Illinois regula falsi in delta.
+
+    fa = h(a) and fb = h(b) differ in sign.  The secant point in delta is a
+    convex combination of exp(a) and exp(b), so it neither cancels nor
+    underflows.  Returns the first exact zero, or the endpoint the secant
+    point falls on once it can no longer move strictly inside the bracket
+    (the bracket's midpoint if that takes more than 100 steps).
+    """
+    neg = fa < 0.0
+    side = 0
+    for _ in range(100):
+        x = np.log(np.exp(a) * (fb / (fb - fa)) + np.exp(b) * (fa / (fa - fb)))
+        if not a < x < b:
+            return a if x <= a else b
+        fx = h(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == neg:
+            a, fa = x, fx
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return 0.5 * (a + b)
+
+
 def _hyp_root(m: int, c: float) -> tuple[float, float]:
     """Hyperbolic secular root as (alpha1, log lambda1), solved in delta = alpha0 - alpha1.
 
     The substitution 1 - c e^(alpha0 - delta) = -expm1(-delta) removes
     the cancellation that makes the tanh form unusable once the root is
     exponentially close to the band edge, so that form is used for
-    delta <= alpha0/2 and the tanh form beyond.  The trigonometric
-    solver's _bisect runs on log(delta) as a single lane of up to 120
-    steps, so roots down to delta ~ e^(-600) resolve at full relative
-    accuracy.
+    delta <= alpha0/2 and the tanh form beyond.  The root is bisected in
+    u = log(delta), so roots down to delta ~ e^(-600) resolve at full
+    relative accuracy; beyond 2 m alpha0 > 600 the asymptote is exact.
+
+    Route: a scalar Illinois regula falsi (_illinois) locates the root in
+    about a dozen evaluations of h, and a window of relative width 1e-12
+    in delta around it is checked to bracket the sign change.  The
+    bisection of the full bracket then runs to adjacent floats but
+    evaluates h only at midpoints inside the window; a midpoint outside
+    takes the side the window lies on.  It so takes the steps of a plain
+    bisection wherever the rounding noise of h stays inside the window,
+    in about 30 evaluations of h instead of about 60.  If the window check
+    fails, every midpoint is evaluated.
     """
     a0 = _alpha0(c)
     if 2.0 * m * a0 > 600.0:
@@ -247,20 +285,39 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
         log_lam = 2.0 * np.log1p(-c * c) + 2.0 * m * np.log(c)
         return a0, float(log_lam)
 
-    def h(delta: np.ndarray) -> np.ndarray:
+    def h(u: float) -> float:
+        delta = np.exp(u)
         al = a0 - delta
         s = np.sinh(al)
         num = 1.0 - c * np.cosh(al)
-        E = np.exp(-2.0 * m * al)
-        near = -np.expm1(-delta) / s - 2.0 * E / (1.0 + E) * (num / s)
-        far = np.tanh(m * al) * num / s - c
-        return np.where(delta <= 0.5 * a0, near, far)
+        if delta <= 0.5 * a0:
+            E = np.exp(-2.0 * m * al)
+            return -np.expm1(-delta) / s - 2.0 * E / (1.0 + E) * (num / s)
+        return np.tanh(m * al) * num / s - c
 
     guess = (1.0 - c * c) * np.exp(-2.0 * m * a0)
-    lo_u = np.log(guess) - 30.0
-    hi_u = np.log(a0 * (1.0 - 1e-12))
-    u = _bisect(lambda t: h(np.exp(t)), [lo_u], [hi_u], 120)[0]
-    delta = float(np.exp(u))
+    lo, hi = np.log(guess) - 30.0, np.log(a0 * (1.0 - 1e-12))
+    flo = h(lo)
+    neg = flo < 0.0
+    r = _illinois(h, lo, hi, flo, h(hi))
+    w = 1e-12 * max(1.0, abs(r))
+    a, b = max(lo, r - w), min(hi, r + w)
+    if (h(a) < 0.0) != neg or (h(b) < 0.0) == neg:
+        a, b = lo, hi
+    mid = np.nan
+    while True:
+        prev, mid = mid, 0.5 * (lo + hi)
+        if mid == prev:
+            break
+        if a < mid < b:
+            g = -h(mid) if neg else h(mid)
+        else:
+            g = 1.0 if mid <= a else -1.0
+        if g <= 0.0:
+            hi = mid
+        if g >= 0.0:
+            lo = mid
+    delta = float(np.exp(0.5 * (lo + hi)))
     log_lam = np.log(4.0 * c) + _log_sinh(a0 - delta / 2.0) + _log_sinh(delta / 2.0)
     return a0 - delta, float(log_lam)
 
@@ -276,7 +333,7 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     at most 80 array evaluations (about 55 before every bracket stops
     moving) where a bracket-by-bracket loop makes about 80 m scalar ones,
     and finds the same roots.  The hyperbolic root, when m(1-c) - c > 0
-    demands one, is solved separately near alpha0 with the same _bisect.
+    demands one, is solved separately near alpha0 by _hyp_root.
     """
     if spec.disorder is not None:
         raise ValueError("secular equation is defined for the deterministic model only")
@@ -320,13 +377,30 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     return SecularRoots(roots, hyp_root, alpha_hat)
 
 
-def secular_eigenvalues(spec: ModelSpec) -> np.ndarray:
-    """sigma(W_c) from the secular roots, ascending."""
-    sr = secular_solve(spec)
+def secular_eigenvalues(spec: ModelSpec, sr: SecularRoots | None = None) -> np.ndarray:
+    """sigma(W_c) from the secular roots sr = secular_solve(spec), ascending."""
+    if sr is None:
+        sr = secular_solve(spec)
     lams = [lambda_of_alpha(spec.c, a) for a in sr.trig_roots]
     if sr.hyp_root is not None:
         lams.append(float(np.exp(sr.hyp_root[1])))
     return np.sort(np.asarray(lams, dtype=float))
+
+
+def secular_hc_spectrum(spec: ModelSpec, sr: SecularRoots | None = None) -> np.ndarray:
+    """All 2m eigenvalues of H_c (c > 0), ascending, from sr = secular_solve(spec).
+
+    sigma(H_c) = +-2 sqrt(sigma(W_c)): each trigonometric root gives
+    2 sqrt(lambda_of_alpha), and the hyperbolic root gives the central
+    pair 2 exp(log lambda1 / 2), which stays accurate where lambda1 itself
+    would underflow.  No matrix is formed: O(m) memory, no factorization.
+    """
+    if sr is None:
+        sr = secular_solve(spec)
+    s = 2.0 * np.sqrt(lambda_of_alpha(spec.c, sr.trig_roots))
+    if sr.hyp_root is not None:
+        s = np.append(s, 2.0 * np.exp(sr.hyp_root[1] / 2.0))
+    return np.sort(np.concatenate([-s, s]))
 
 
 def spurious_estimate(spec: ModelSpec) -> SpuriousEstimate:
@@ -353,6 +427,19 @@ def stable_gap(c: float) -> StableGap:
 def stable_gap_check(m: int, c: float) -> dict:
     """Count eigenvalues of H_c inside the stable gap and check the pattern.
 
+    Route: for c > 0 the spectrum comes from the secular equation
+    (secular_hc_spectrum), with no dense matrix; at c = 0, where the
+    secular equation does not apply, from the bidiagonal SVD
+    (hc_spectrum).  stable_gap_pattern counts and judges it.
+    """
+    spec = ModelSpec(m, c)
+    evals = hc_spectrum(spec) if c == 0.0 else secular_hc_spectrum(spec)
+    return stable_gap_pattern(m, c, evals)
+
+
+def stable_gap_pattern(m: int, c: float, evals: np.ndarray) -> dict:
+    """Count the eigenvalues evals of H_c inside the stable gap and check the pattern.
+
     The gap holds exactly the spurious pair where 0 <= c < 1 and
     m (1 - c) > c, and nothing otherwise (c >= 1, or too few sites for
     the pair to form).  The pair is exactly zero at c = 0 and, once deep
@@ -360,7 +447,6 @@ def stable_gap_check(m: int, c: float) -> dict:
     of twice the estimated singular value.
     """
     radius = stable_gap(c).radius
-    evals = hc_spectrum(ModelSpec(m, c))
     inside = evals[np.abs(evals) < radius] if radius > 0.0 else evals[:0]
     pair = 0.0 <= c < 1.0 and m * (1.0 - c) > c
     expected = 2 if pair else 0

@@ -1,4 +1,6 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and call counters for the test suite."""
+
+from collections import Counter
 
 import numpy as np
 
@@ -33,3 +35,21 @@ def violations(evals: np.ndarray, lo: float, hi: float, nonzero_only: bool = Fal
     if nonzero_only:
         inside = inside[np.abs(inside) > margin]
     return int(inside.size)
+
+
+def count_factorizations(monkeypatch) -> Counter:
+    """Count numpy.linalg factorizations (and 2-norms) by kind while monkeypatch is active."""
+    counts: Counter = Counter()
+
+    def counted(kind, fn, when=lambda *a, **k: True):
+        def wrapper(*args, **kwargs):
+            counts[kind] += bool(when(*args, **kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for kind in ("eigh", "eigvalsh", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
+    norm2 = lambda x, ord=None, *a, **k: ord == 2  # noqa: E731
+    monkeypatch.setattr(np.linalg, "norm", counted("norm2", np.linalg.norm, norm2))
+    return counts

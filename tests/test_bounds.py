@@ -51,6 +51,32 @@ def test_certificates_scale_covariant(t):
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (cert.__name__, got, ref)
 
 
+@pytest.mark.parametrize("t", [1e-160, 1e-80, 1e80, 1e155])
+def test_kirsch_saddle_scale_covariant(t):
+    rng = np.random.default_rng(12)
+    A, B = rand_pd(rng, 4), rand_psd(rng, 4)
+    ref = bounds.kirsch_saddle_certificate(BlockSaddle(A, B, A))
+    got = bounds.kirsch_saddle_certificate(BlockSaddle(t * A, t * B, t * A))
+    assert np.allclose(np.array(got.interval) / t, ref.interval, rtol=1e-12, atol=0.0)
+    for key in ("min_sigma_A", "min_sigma_B"):
+        assert got.quantities[key] / t == pytest.approx(ref.quantities[key], rel=1e-12, abs=0.0)
+    assert got.inv_norm_bound * t == pytest.approx(ref.inv_norm_bound, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [1e-160, 1e-80, 1e80, 1e155])
+def test_winklmeier_scale_covariant(t):
+    # small diagonal blocks and a well-conditioned coupling: the radius is positive
+    rng = np.random.default_rng(13)
+    A, C = 0.1 * rand_pd(rng, 4), 0.1 * rand_pd(rng, 4)
+    B = 4.0 * np.eye(4) + 0.3 * rng.standard_normal((4, 4))
+    ref = bounds.winklmeier_certificate(BlockSaddle(A, B, C))
+    assert ref.interval[1] > 0.0
+    got = bounds.winklmeier_certificate(BlockSaddle(t * A, t * B, t * C))
+    assert np.allclose(np.array(got.interval) / t, ref.interval, rtol=1e-12, atol=0.0)
+    raw = got.quantities["raw_bound"] / t
+    assert raw == pytest.approx(ref.quantities["raw_bound"], rel=1e-12, abs=0.0)
+
+
 def test_null_space_H():
     S = BlockSaddle(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([0.0, 0.0]))
     rep = bounds.null_space_H(S)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ import gapcert
 from gapcert import bounds, matio
 from gapcert.cli import main
 
-from helpers import rand_pd
+from helpers import count_factorizations, rand_pd
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -310,23 +309,6 @@ def test_repeat_runs_identical(tmp_path, capsys):
 def test_model_verify_grid_without_central_pair(capsys):
     code, out, _ = run(capsys, "model", "verify", "-m", "2,3", "-c", "0.0,0.7,0.8,1.0,1.5")
     assert code == 0, out
-
-
-def count_factorizations(monkeypatch) -> Counter:
-    counts: Counter = Counter()
-
-    def counted(kind, fn, when=lambda *a, **k: True):
-        def wrapper(*args, **kwargs):
-            counts[kind] += bool(when(*args, **kwargs))
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for kind in ("eigh", "eigvalsh", "svd", "solve"):
-        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
-    norm2 = lambda x, ord=None, *a, **k: ord == 2  # noqa: E731
-    monkeypatch.setattr(np.linalg, "norm", counted("norm2", np.linalg.norm, norm2))
-    return counts
 
 
 def test_each_saddle_factorized_once(tmp_path, capsys, monkeypatch):

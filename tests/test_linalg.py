@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gapcert import linalg
-from gapcert.errors import NotFinite, NotPSD, NotSymmetric, Singular
+from gapcert.errors import NotFinite, NotPSD, NotSymmetric
 from gapcert.linalg import Bidiagonal
 
 from helpers import rand_psd, rand_sym
@@ -53,29 +53,6 @@ def test_psd_sqrt_squares_back():
         linalg.psd_sqrt(np.diag([1.0, -1.0]))
     with pytest.raises(NotPSD):
         linalg.psd_sqrt(1e-12 * np.diag([1.0, -1.0]))
-
-
-def test_psd_factor_rank_and_product():
-    rng = np.random.default_rng(3)
-    for n, r in ((4, 2), (5, 5), (3, 1)):
-        M = rand_psd(rng, n, rank=r)
-        L = linalg.psd_factor(M)
-        assert L.shape == (n, r)
-        assert np.allclose(L @ L.T, M, atol=1e-10 * max(1.0, linalg.op_norm(M)))
-    assert linalg.psd_factor(np.zeros((3, 3))).shape == (3, 0)
-    with pytest.raises(NotPSD):
-        linalg.psd_factor(1e-12 * np.diag([1.0, -1.0]))
-
-
-def test_polar_factors():
-    rng = np.random.default_rng(4)
-    B = rng.standard_normal((4, 4))
-    U, P = linalg.polar_factors(B)
-    assert np.allclose(U @ P, B, atol=1e-12 * linalg.op_norm(B))
-    assert np.allclose(U.T @ U, np.eye(4), atol=1e-12)
-    assert np.min(np.linalg.eigvalsh((P + P.T) / 2.0)) >= -1e-12
-    with pytest.raises(Singular):
-        linalg.polar_factors(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_complex_svd_via_embedding():

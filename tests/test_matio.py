@@ -68,7 +68,7 @@ def test_block_saddle_round_trip(tmp_path):
     S = matio.parse_block_saddle(text)
     assert np.allclose(S.A, A) and np.allclose(S.B, B) and np.allclose(S.C, C)
     path = tmp_path / "h.txt"
-    matio.write_block_saddle(path, S)
+    path.write_text(matio.format_block_saddle(S), encoding="utf-8")
     S2 = matio.read_block_saddle(path)
     assert np.array_equal(S2.A, S.A) and np.array_equal(S2.C, S.C)
 

@@ -1,12 +1,17 @@
 """Chain-model builders, secular roots, gap checks, and disorder runs."""
 
+import json
+
 import numpy as np
 import pytest
 
 from gapcert import model
+from gapcert.cli import main
 from gapcert.errors import OutOfRegime
 from gapcert.linalg import Bidiagonal, bidiag_svd_hra
 from gapcert.model import DisorderSpec, ModelSpec
+
+from helpers import count_factorizations
 
 # smallest eigenvalue of W_{1/2}, frozen from a high-precision Sturm count
 GAP_HALF = {
@@ -119,12 +124,6 @@ def test_secular_no_hyperbolic_near_threshold():
     # c = 0.9, m = 4 has m(1-c) - c < 0: all m roots are trigonometric
     sr = model.secular_solve(ModelSpec(4, 0.9))
     assert sr.hyp_root is None and sr.trig_roots.size == 4
-
-
-def test_tan_residual_closed_form_roots():
-    # for m = 2, c = 1 the secular roots are alpha = pi/5 and 3 pi/5
-    assert abs(model.tan_residual(2, 1.0, np.pi / 5.0)) < 1e-12
-    assert abs(model.tan_residual(2, 1.0, 3.0 * np.pi / 5.0)) < 1e-12
 
 
 def test_secular_out_of_regime():
@@ -245,6 +244,12 @@ def test_bisect_lanes_match_scalar_bisection(iters):
         (1000, 1.7),
         (5000, 0.5),
         (5000, 1.2),
+        # rounding noise in h makes a plain regula falsi stop a few ulps
+        # away from the bisection root here, so these check _hyp_root's window
+        (2, 0.6381851541475009),
+        (4, 0.548224952260725),
+        # hyperbolic root just below m (1 - c) = c
+        (800, 800.0 / 801.0 * (1.0 - 1e-12)),
     ],
 )
 def test_secular_solve_matches_scalar_reference(m, c):
@@ -273,6 +278,24 @@ def test_secular_solve_vectorized(monkeypatch):
         model.secular_solve(ModelSpec(m, c))
         counts.append(calls[0])
     assert max(counts) <= 90
+
+
+def test_hyp_root_evaluation_count(monkeypatch):
+    # regula falsi plus the windowed bisection evaluate h about 30 times,
+    # where bisecting the whole bracket takes 44 to 60; each evaluation of h
+    # (and each _log_sinh term of the result) calls sinh once
+    calls = [0]
+    sinh = np.sinh
+
+    def counted(x):
+        calls[0] += 1
+        return sinh(x)
+
+    monkeypatch.setattr(np, "sinh", counted)
+    for m, c in ((2, 0.5), (4, 0.548224952260725), (10, 0.9), (50, 0.5), (100, 0.2), (1000, 0.9)):
+        calls[0] = 0
+        model._hyp_root(m, c)
+        assert calls[0] <= 40, (m, c, calls[0])
 
 
 def test_spurious_estimate():
@@ -307,6 +330,72 @@ def test_stable_gap_check_without_central_pair():
     for m, c in ((2, 0.7), (3, 0.8)):
         out = model.stable_gap_check(m, c)
         assert out["ok"] and out["expected_count"] == 0 and out["inside_count"] == 0, out
+
+
+# masses from 0.01 to 2.5, with c = 1 where the stable gap closes
+SECULAR_GAP_C = (0.01, 0.05, 0.3, 0.5, 0.9, 0.99, 1.0, 1.01, 1.5, 2.5)
+# the chain workload's stable-gap sizes, each at the end of its c range nearer 1
+WORKLOAD_GAP_POINTS = ((300, 0.9), (600, 0.92), (1000, 0.95), (1500, 0.95), (400, 1.1), (1200, 1.05))
+
+
+def _secular_gap_cases():
+    for m in (2, 3, 5, 10, 50, 200, 400, 800):
+        # m (1 - c) = c at c = m / (m + 1): the central pair forms below it
+        edge = m / (m + 1.0)
+        cs = SECULAR_GAP_C + tuple(edge * (1.0 + d) for d in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9))
+        yield pytest.param(m, cs, id=f"m{m}")
+    for m, c in WORKLOAD_GAP_POINTS:
+        yield pytest.param(m, (c,), id=f"workload-m{m}")
+
+
+@pytest.mark.parametrize("m,cs", list(_secular_gap_cases()))
+def test_secular_stable_gap_spectrum_matches_hc_spectrum(m, cs):
+    for c in cs:
+        spec = ModelSpec(m, c)
+        sec, dense = model.secular_hc_spectrum(spec), model.hc_spectrum(spec)
+        assert sec.size == dense.size == 2 * m
+        assert np.all(np.abs(sec - dense) <= 1e-11 * np.abs(dense)), (m, c)
+        got, want = model.stable_gap_pattern(m, c, sec), model.stable_gap_pattern(m, c, dense)
+        assert model.stable_gap_check(m, c) == got
+        got.pop("central_abs")
+        want.pop("central_abs")
+        assert got == want, (m, c)
+
+
+def test_secular_stable_gap_underflow():
+    # the central pair underflows to 0 on both routes, or stays far below 1e-200
+    assert model.stable_gap_check(800, 0.05)["central_abs"] == [0.0, 0.0]
+    assert model.hc_spectrum(ModelSpec(800, 0.05))[799:801].tolist() == [0.0, 0.0]
+    out = model.stable_gap_check(400, 0.3)
+    assert out["ok"] and out["central_abs"][1] == pytest.approx(1.284e-209, rel=1e-3)
+    dense = float(model.hc_spectrum(ModelSpec(400, 0.3))[400])
+    assert out["central_abs"][1] == pytest.approx(dense, rel=1e-11, abs=0.0)
+
+
+def test_stable_gap_cli_makes_no_factorization(capsys, monkeypatch):
+    counts = count_factorizations(monkeypatch)
+    for c in ("0.9", "1.3"):
+        assert main(["model", "stable-gap", "-m", "300", "-c", c]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+    assert sum(counts.values()) == 0, counts
+    # c = 0 keeps the bidiagonal SVD, which the counter sees
+    assert main(["model", "stable-gap", "-m", "300", "-c", "0"]) == 0
+    assert counts == {"svd": 1}, counts
+
+
+def test_model_verify_solves_each_grid_point_once(capsys, monkeypatch):
+    calls = []
+    solve = model.secular_solve
+
+    def counted(spec):
+        calls.append((spec.m, spec.c))
+        return solve(spec)
+
+    monkeypatch.setattr(model, "secular_solve", counted)
+    code = main(["model", "verify", "-m", "2,3,5", "-c", "0,0.5,1,1.5"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert sorted(calls) == [(m, c) for m in (2, 3, 5) for c in (0.5, 1.0, 1.5)]
 
 
 def test_modified_k0_squares_to_four():
