@@ -452,7 +452,13 @@ def eig_4x4(p: Quartic4x4Params) -> np.ndarray:
     """All four eigenvalues of the parametrized 4x4, ascending.
 
     The characteristic polynomial is biquadratic, lambda^4 - 2s lambda^2
-    + c0, so the spectrum is plus/minus two square roots.
+    + c0 with c0 = |det M|^2, M = A - iB (sign +1) or A - B (sign -1), so
+    the spectrum is plus/minus two square roots.  For consistent
+    parameters s is half the trace of G = M M^H, and the discriminant
+    s^2 - c0 equals ((g11 - g22)/2)^2 + |g12|^2.  The root is taken from
+    that sum of squares, which stays exact at a double pair, where
+    s^2 - c0 is a rounded zero whose square root would split the pair by
+    about sqrt(eps) relative.
     """
     A, B = p.blocks()
     s = (
@@ -461,14 +467,13 @@ def eig_4x4(p: Quartic4x4Params) -> np.ndarray:
         + abs(complex(*p.b_plus)) ** 2
         + abs(complex(*p.b_minus)) ** 2
     ) / 2.0 + abs(complex(*p.a)) ** 2 + abs(complex(*p.b)) ** 2
-    if p.sign == 1:
-        c0 = abs(np.linalg.det(A - 1j * B)) ** 2
-    else:
-        c0 = abs(np.linalg.det(A - B)) ** 2
+    M = A - 1j * B if p.sign == 1 else A - B
+    c0 = abs(np.linalg.det(M)) ** 2
     disc = s * s - c0
     if disc < -1e-12 * s * s:
         raise NegativeDiscriminant(f"s^2 - c0 = {disc:.3e} < 0; parameters inconsistent")
-    root = np.sqrt(max(disc, 0.0))
+    G = M @ M.conj().T
+    root = float(np.hypot((G[0, 0].real - G[1, 1].real) / 2.0, abs(G[0, 1])))
     lo = np.sqrt(max(s - root, 0.0))
     hi = np.sqrt(s + root)
     return np.array([-hi, -lo, lo, hi])

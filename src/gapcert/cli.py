@@ -6,13 +6,22 @@ exits 1 when an invariant check fails.  All output is deterministic at
 a fixed BLAS thread count: identical arguments then produce
 byte-identical bytes.  A different thread count can change the
 trailing digits of dense eigenvalues.
+
+`main` builds its parser once per process, on the first call, and
+reuses it for every later call, so in-process callers (a test suite, a
+benchmark loop, embedding code) pay for it once; a one-shot shell call
+builds it once as before.  The parser holds only static configuration:
+its defaults are immutable, and each `bounds` method still looks up its
+certificate function when the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -300,7 +309,7 @@ VERIFY_TOLS = {
 }
 
 
-def _model_verify(m_list: list[int], c_list: list[float]) -> list[tuple[str, bool, str]]:
+def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[str, bool, str]]:
     """Run the model invariant suite over a grid and aggregate worst defects."""
     worst = {name: 0.0 for name in VERIFY_TOLS}
     gap_ok = True
@@ -332,6 +341,11 @@ def _model_verify(m_list: list[int], c_list: list[float]) -> list[tuple[str, boo
                 lam = model.secular_eigenvalues(spec, sr)
                 note("secular_match", np.max(np.abs(lam - ww)))
                 evals = model.secular_hc_spectrum(spec, sr)
+                # secular_match is absolute, so it cannot see an error in the
+                # tiny central pair; compare that pair with dqds, relative,
+                # wherever the dqds value is a normal float
+                if c < 1.0 and m * (1.0 - c) > c and hs[m] >= np.finfo(float).tiny:
+                    gap_ok = gap_ok and abs(evals[m] - hs[m]) <= 1e-11 * hs[m]
             else:
                 evals = hs
             gap_ok = gap_ok and model.stable_gap_pattern(m, float(c), evals)["ok"]
@@ -405,6 +419,7 @@ def _cmd_counterexamples(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gapcert",
@@ -453,9 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--seed", type=int, default=0)
 
     vf = model_sub("verify", _cmd_verify, ["text"], "text", need_mc=False)
-    vf.add_argument("-m", type=_int_list, default=[2, 3, 5, 10], help="comma list of sizes")
+    vf.add_argument("-m", type=_int_list, default=(2, 3, 5, 10), help="comma list of sizes")
     vf.add_argument(
-        "-c", type=_float_list, default=[0.0, 0.5, 1.0, 1.5, 2.0], help="comma list of masses"
+        "-c", type=_float_list, default=(0.0, 0.5, 1.0, 1.5, 2.0), help="comma list of masses"
     )
 
     ce = sub.add_parser("counterexamples", help="inverse-norm and non-monotonicity evidence")

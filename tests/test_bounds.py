@@ -373,10 +373,11 @@ def test_eig_4x4_against_dense():
 @pytest.mark.parametrize("t", [1e-60, 1e-20, 1e20, 1e60])
 def test_eig_4x4_scale_covariant(t):
     # A = 1.1 I, B = 0.7 I is a double pair: s^2 - c0 is zero up to rounding
-    # at every scale, the discriminant test must accept it at each, and the
-    # square root of that rounding leaves about 8 digits
+    # at every scale and the discriminant test must accept it at each; the
+    # root comes from a sum of squares that is exactly zero there, so the
+    # pair stays double instead of splitting by sqrt(eps)
     for p, rtol in (
-        (Quartic4x4Params(1.1, 1.1, b_plus=(0.7, 0.0), b_minus=(0.7, 0.0)), 1e-7),
+        (Quartic4x4Params(1.1, 1.1, b_plus=(0.7, 0.0), b_minus=(0.7, 0.0)), 1e-12),
         (Quartic4x4Params(1.0, 2.0, (0.5, 0.5), (0.1, -0.2), (1.0, 0.0), sign=1), 1e-12),
     ):
         pt = Quartic4x4Params(

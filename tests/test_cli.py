@@ -1,5 +1,6 @@
 """End-to-end command-line checks: payloads, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -341,17 +342,93 @@ def test_each_saddle_factorized_once(tmp_path, capsys, monkeypatch):
     assert sum(counts.values()) <= 8, counts
 
 
+def run_child(source: str):
+    """Run source in a fresh interpreter with gapcert importable; return its last line as JSON."""
+    src = str(Path(gapcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_runtime_loads_no_scipy():
     # the package needs only numpy at run time; a fresh interpreter shows
     # what a CLI call loads, which this test process (holding scipy) cannot
-    src = str(Path(gapcert.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = (
         "import json, sys\n"
         "from gapcert.cli import main\n"
         "code = main(['model', 'stable-gap', '-m', '300', '-c', '0.5'])\n"
         "print(json.dumps([code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, check=False, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert run_child(child) == [0, []]
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    f = write_block(tmp_path / "d.txt", [[2.0]], [[1.0]], [[1.0]])
+    assert run(capsys, "bounds", f, "--method", "diag")[0] == 0
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (
+        ["bounds", f], ["bounds", f, "--method", "bogus"], ["stokes", f, "--method", "new"],
+        ["model", "spurious", "-m", "5", "-c", "0.5"], ["counterexamples", "--t-range", "5:20:3"],
+    ):
+        run(capsys, *argv)
+    assert made == []
+
+
+def test_import_builds_no_parser():
+    # the parser is built by the first call, not at import, so an
+    # interpreter that only imports the CLI pays nothing for it
+    child = (
+        "import argparse, io, json, contextlib\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import gapcert.cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        gapcert.cli.main(['model', 'spurious', '-m', '5', '-c', '0.5'])\n"
+        "    counts.append(len(made))\n"
+        "print(json.dumps(counts))\n"
+    )
+    at_import, first, second = run_child(child)
+    assert at_import == 0 and first > 0 and second == first
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    # one mixed sequence, then the same calls in reverse order: every call
+    # must give the same exit code, stdout and stderr either way
+    A = [[2.0, -1.0], [-1.0, 2.0]]
+    definite = write_block(tmp_path / "d.txt", A, np.eye(2), A)
+    stokes_file = write_block(tmp_path / "s.txt", A, np.eye(2))
+    dest = tmp_path / "out.json"
+    calls = [
+        ["bounds", definite, "--method", "all", "--output", str(dest)],
+        ["bounds", definite, "--method", "all"],
+        ["bounds", definite, "--method", "bogus"],
+        ["model", "verify"],
+        ["model", "verify"],
+        ["stokes", stokes_file, "--format", "csv"],
+    ]
+    seen = []
+    for order in (range(len(calls)), reversed(range(len(calls)))):
+        results = {i: run(capsys, *calls[i]) for i in order}
+        seen.append(results)
+        assert results[0] == (0, "", "")
+        assert results[1][0] == 0 and results[1][1] == dest.read_text()
+        assert results[2][0] == 2 and "invalid choice" in results[2][2]
+        assert results[3][0] == 0 and results[3][1].count("PASS") == 10
+        assert results[4] == results[3]
+        assert results[5][0] == 0 and results[5][1].startswith("index,branch,value")
+        dest.unlink()
+    assert seen[0] == seen[1]

@@ -398,6 +398,19 @@ def test_model_verify_solves_each_grid_point_once(capsys, monkeypatch):
     assert sorted(calls) == [(m, c) for m in (2, 3, 5) for c in (0.5, 1.0, 1.5)]
 
 
+def test_model_verify_sees_relative_error_in_central_pair(capsys, monkeypatch):
+    # at the edge m (1 - c) ~ c the old alpha0 = arccosh((c^2 + 1)/(2c))
+    # put 4.4e-11 relative error into the central pair, which no absolute
+    # check sees; verify compares the pair with dqds to 1e-11 relative
+    argv = ["model", "verify", "-m", "800", "-c", repr(800.0 / 801.0 * (1.0 - 1e-12))]
+    assert main(argv) == 0, capsys.readouterr().out
+    capsys.readouterr()
+    monkeypatch.setattr(model, "_alpha0", lambda c: float(np.arccosh((c * c + 1.0) / (2.0 * c))))
+    assert main(argv) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in failed] == ["stable_gap_counts"]
+
+
 def test_modified_k0_squares_to_four():
     Kt, _ = model.build_modified(ModelSpec(4, 0.0))
     assert np.array_equal(Kt @ Kt, 4.0 * np.eye(8))
