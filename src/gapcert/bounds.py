@@ -142,12 +142,6 @@ class NullSpaceReport:
     singular: bool
 
 
-@dataclass(frozen=True)
-class RelativeBounds:
-    alpha: float
-    gamma: float
-
-
 def null_space_H(H: BlockSaddle, tol_rank: float | None = None) -> NullSpaceReport:
     """Null space of the assembled H: x-part in N(A)∩N(B^T), y-part in N(C)∩N(B)."""
     na_nb = linalg.null_space_basis(np.vstack([H.A, H.B.T]), tol_rank)
@@ -244,15 +238,6 @@ def verify_norm_floor(A: np.ndarray, C: np.ndarray) -> tuple[float, bool]:
     return norm, zero
 
 
-def relative_bounds(H: BlockSaddle) -> RelativeBounds:
-    """Relative sizes alpha, gamma of A and C against |B^T| and |B|."""
-    U, s, Vh = H.svd_B
-    return RelativeBounds(
-        alpha=linalg.relative_size(H.A, U, s),
-        gamma=linalg.relative_size(H.C, Vh.T, s),
-    )
-
-
 def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     """Gap certificate driven by invertibility of B rather than of A and C.
 
@@ -262,19 +247,20 @@ def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     """
     if H.m != H.k:
         raise BNotInvertible(f"B must be square, got {H.m}x{H.k}")
-    s = H.svd_B.S
+    U, s, Vh = H.svd_B
     if not linalg.definite(s):
         raise UnboundedRelativeBound("B is singular; relative bounds are infinite")
-    rb = relative_bounds(H)
+    alpha = linalg.relative_size(H.A, U, s)
+    gamma = linalg.relative_size(H.C, Vh.T, s)
     binv = 1.0 / float(s[-1])
-    bound = binv * (1.0 + max(rb.alpha, rb.gamma) + rb.alpha * rb.gamma)
+    bound = binv * (1.0 + max(alpha, gamma) + alpha * gamma)
     radius = 1.0 / bound
     return GapCertificate(
         method="hbinv",
         interval=(-radius, radius),
         claim="excludes_all",
         inv_norm_bound=bound,
-        quantities={"alpha": rb.alpha, "gamma": rb.gamma, "inv_B_norm": binv},
+        quantities={"alpha": alpha, "gamma": gamma, "inv_B_norm": binv},
     )
 
 

@@ -213,33 +213,27 @@ def _cmd_stokes(args) -> int:
 
 
 def _cmd_secular(args) -> int:
-    spec = model.ModelSpec(args.m, args.c)
-    sr = model.secular_solve(spec)
-    lam_trig = [float(model.lambda_of_alpha(args.c, a)) for a in sr.trig_roots]
-    rows: list[tuple] = []
-    log_scale = False
-    if sr.hyp_root is not None:
-        alpha1, log_lam = sr.hyp_root
-        log10_lam = log_lam / LN10
-        log_scale = log10_lam < LOG10_FLOOR
-        rows.append((alpha1, log10_lam if log_scale else float(np.exp(log_lam)), "hyp"))
-    for a, lam in zip(sr.trig_roots, lam_trig):
-        rows.append((float(a), float(np.log10(lam)) if log_scale else lam, "trig"))
-    if args.format == "csv":
-        header = ["k", "alpha", "log10_lambda" if log_scale else "lambda", "branch"]
-        _emit(_csv(header, [(k + 1, *row) for k, row in enumerate(rows)]), args.output)
-        return 0
+    sr = model.secular_solve(model.ModelSpec(args.m, args.c))
+    alphas, lam = sr.trig_roots.tolist(), model.lambda_of_alpha(args.c, sr.trig_roots)
     hyp = None
     if sr.hyp_root is not None:
         alpha1, log_lam = sr.hyp_root
         hyp = {"alpha": alpha1, "log10_lambda": log_lam / LN10}
-        if log_lam / LN10 >= LOG10_FLOOR:
+        if hyp["log10_lambda"] >= LOG10_FLOOR:
             hyp["lambda"] = float(np.exp(log_lam))
+    if args.format == "csv":
+        # a central pair below 10^LOG10_FLOOR puts the whole column on the log scale
+        key = "lambda" if hyp is None or "lambda" in hyp else "log10_lambda"
+        trig = lam if key == "lambda" else np.log10(lam)
+        rows = [] if hyp is None else [(hyp["alpha"], hyp[key], "hyp")]
+        rows += [(a, v, "trig") for a, v in zip(alphas, trig.tolist())]
+        _emit(_csv(["k", "alpha", key, "branch"], [(k, *row) for k, row in enumerate(rows, 1)]), args.output)
+        return 0
     payload = {
         "m": args.m,
         "c": args.c,
         "alpha_hat": sr.alpha_hat,
-        "trig": [{"alpha": float(a), "lambda": lam} for a, lam in zip(sr.trig_roots, lam_trig)],
+        "trig": [{"alpha": a, "lambda": v} for a, v in zip(alphas, lam.tolist())],
         "hyp": hyp,
     }
     _emit(_json(payload), args.output)
@@ -323,7 +317,8 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
         for c in c_list:
             spec = model.ModelSpec(m, float(c))
             wh = np.linalg.eigvalsh(model.build_Hc(spec))
-            scale = max(1.0, abs(float(wh[0])), abs(float(wh[-1])))
+            # X = D - B has subdiagonal 2, so scale >= 2 for every m >= 2
+            scale = float(np.max(np.abs(wh)))
             wk = np.linalg.eigvalsh(model.build_Kc(spec))
             note("unitary_equivalence", np.max(np.abs(wh - wk)) / scale)
             hs = model.hc_spectrum(spec)
@@ -334,7 +329,7 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
             note("gram_identity", np.max(np.abs(W - Tmc.T @ Tmc)))
             sv = np.sort(hs[m:]) / 2.0
             ww = np.linalg.eigvalsh(W)
-            note("gram_spectrum", np.max(np.abs(np.sort(sv**2) - ww)) / max(1.0, scale**2))
+            note("gram_spectrum", np.max(np.abs(np.sort(sv**2) - ww)) / scale**2)
             if c > 0.0:
                 # one secular solve serves the W_c match and the stable-gap pattern
                 sr = model.secular_solve(spec)
@@ -344,7 +339,7 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
                 # secular_match is absolute, so it cannot see an error in the
                 # tiny central pair; compare that pair with dqds, relative,
                 # wherever the dqds value is a normal float
-                if c < 1.0 and m * (1.0 - c) > c and hs[m] >= np.finfo(float).tiny:
+                if model.has_central_pair(m, c) and hs[m] >= np.finfo(float).tiny:
                     gap_ok = gap_ok and abs(evals[m] - hs[m]) <= 1e-11 * hs[m]
             else:
                 evals = hs
@@ -352,7 +347,7 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
             wt = np.linalg.eigvalsh(model.build_Htilde(spec))
             note("modified_symmetry", np.max(np.abs(wt + wt[::-1])) / scale)
             closed = model.modified_spectrum_closed_form(spec)
-            note("modified_closed_form", np.max(np.abs(np.sort(wt**2) - closed)) / max(1.0, scale**2))
+            note("modified_closed_form", np.max(np.abs(np.sort(wt**2) - closed)) / scale**2)
             radius = model.stable_gap(float(c)).radius
             if radius > 0.0:
                 gap_ok = gap_ok and float(np.min(np.abs(wt))) >= radius - 1e-9

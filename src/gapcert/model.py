@@ -58,10 +58,10 @@ class SecularRoots:
     """Roots of the secular equation in the spectral parameter alpha.
 
     trig_roots lie in (0, pi) and map to eigenvalues of W_c through
-    lambda = c^2 + 1 - 2c cos(alpha).  hyp_root, present for c < 1 once
-    m(1-c) - c > 0, carries the hyperbolic root alpha1 < alpha0 and the
-    log of its (possibly denormal) eigenvalue.  alpha_hat = arccos(1/c)
-    marks the sign change of 1 - c cos(alpha) when c > 1.
+    lambda = c^2 + 1 - 2c cos(alpha).  hyp_root, present where
+    has_central_pair(m, c), carries the hyperbolic root alpha1 < alpha0
+    and the log of its (possibly denormal) eigenvalue.  alpha_hat =
+    arccos(1/c) marks the sign change of 1 - c cos(alpha) when c > 1.
     """
 
     trig_roots: np.ndarray
@@ -111,17 +111,10 @@ def build_blocks(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _diagonal_block(spec: ModelSpec) -> np.ndarray:
-    A, _ = build_blocks(spec)
-    if spec.disorder is None:
-        A[np.diag_indices(spec.m)] += 2.0 * spec.c
-    return A
-
-
 def build_Hc(spec: ModelSpec) -> np.ndarray:
-    """Assemble H = [[D, B], [-B, -D]] with D = A + 2cI (or A_omega)."""
-    D = _diagonal_block(spec)
-    _, B = build_blocks(spec)
+    """Assemble H = [[D, B], [-B, -D]] with D = A + 2cI (A_omega, c = 0 under disorder)."""
+    D, B = build_blocks(spec)
+    D[np.diag_indices(spec.m)] += 2.0 * spec.c
     return np.block([[D, B], [-B, -D]])
 
 
@@ -171,6 +164,11 @@ def hc_spectrum(spec: ModelSpec) -> np.ndarray:
     return np.sort(np.concatenate([-s, s]))
 
 
+def has_central_pair(m: int, c: float) -> bool:
+    """Whether H_c on 2m sites has the spurious central pair: 0 <= c < 1 and m (1 - c) > c."""
+    return 0.0 <= c < 1.0 and m * (1.0 - c) > c
+
+
 def _alpha0(c: float) -> float:
     # arccosh((c^2 + 1) / (2c)) = -log c for 0 < c < 1; the arccosh argument
     # rounds to 1 + (1-c)^2/(2c) and loses the relative accuracy of alpha0 as
@@ -218,6 +216,11 @@ def _bisect(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
         hi = np.where(g <= 0.0, mid, hi)
         lo = np.where(g >= 0.0, mid, lo)
     return 0.5 * (lo + hi)
+
+
+def _log_lambda_asymptote(m: int, c: float) -> float:
+    # log of the first asymptotic term (1 - c^2)^2 c^(2m) of lambda1
+    return float(2.0 * np.log1p(-c * c) + 2.0 * m * np.log(c))
 
 
 def _log_sinh(x: float) -> float:
@@ -282,8 +285,7 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
     a0 = _alpha0(c)
     if 2.0 * m * a0 > 600.0:
         # delta underflows; the first asymptotic term is exact to < 1e-200
-        log_lam = 2.0 * np.log1p(-c * c) + 2.0 * m * np.log(c)
-        return a0, float(log_lam)
+        return a0, _log_lambda_asymptote(m, c)
 
     def h(u: float) -> float:
         delta = np.exp(u)
@@ -332,7 +334,7 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     three Newton steps that stay inside its bracket.  The bisection makes
     at most 80 array evaluations (about 55 before every bracket stops
     moving) where a bracket-by-bracket loop makes about 80 m scalar ones,
-    and finds the same roots.  The hyperbolic root, when m(1-c) - c > 0
+    and finds the same roots.  The hyperbolic root, when has_central_pair
     demands one, is solved separately near alpha0 by _hyp_root.
     """
     if spec.disorder is not None:
@@ -340,7 +342,7 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     m, c = spec.m, spec.c
     if c <= 0.0:
         raise OutOfRegime("secular equation needs c > 0")
-    hyp = 0.0 < c < 1.0 and m * (1.0 - c) - c > 0.0
+    hyp = has_central_pair(m, c)
     expected = m - 1 if hyp else m
 
     poles = (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)
@@ -381,10 +383,10 @@ def secular_eigenvalues(spec: ModelSpec, sr: SecularRoots | None = None) -> np.n
     """sigma(W_c) from the secular roots sr = secular_solve(spec), ascending."""
     if sr is None:
         sr = secular_solve(spec)
-    lams = [lambda_of_alpha(spec.c, a) for a in sr.trig_roots]
+    lams = lambda_of_alpha(spec.c, sr.trig_roots)
     if sr.hyp_root is not None:
-        lams.append(float(np.exp(sr.hyp_root[1])))
-    return np.sort(np.asarray(lams, dtype=float))
+        lams = np.append(lams, np.exp(sr.hyp_root[1]))
+    return np.sort(lams)
 
 
 def secular_hc_spectrum(spec: ModelSpec, sr: SecularRoots | None = None) -> np.ndarray:
@@ -412,9 +414,8 @@ def spurious_estimate(spec: ModelSpec) -> SpuriousEstimate:
     c = spec.c
     if not 0.0 < c < 1.0:
         raise OutOfRegime(f"spurious pair exists for 0 < c < 1 only, got c = {c}")
-    a0 = _alpha0(c)
-    log_lambda = 2.0 * float(np.log1p(-c * c)) + 2.0 * spec.m * float(np.log(c))
-    return SpuriousEstimate(a0, log_lambda, log_lambda / 2.0)
+    log_lambda = _log_lambda_asymptote(spec.m, c)
+    return SpuriousEstimate(_alpha0(c), log_lambda, log_lambda / 2.0)
 
 
 def stable_gap(c: float) -> StableGap:
@@ -440,15 +441,15 @@ def stable_gap_check(m: int, c: float) -> dict:
 def stable_gap_pattern(m: int, c: float, evals: np.ndarray) -> dict:
     """Count the eigenvalues evals of H_c inside the stable gap and check the pattern.
 
-    The gap holds exactly the spurious pair where 0 <= c < 1 and
-    m (1 - c) > c, and nothing otherwise (c >= 1, or too few sites for
-    the pair to form).  The pair is exactly zero at c = 0 and, once deep
+    The gap holds exactly the spurious pair where has_central_pair(m, c),
+    and nothing otherwise (c >= 1, or too few sites for the pair to
+    form).  The pair is exactly zero at c = 0 and, once deep
     enough in the asymptotic regime (2 m alpha0 >= 10), within a percent
     of twice the estimated singular value.
     """
     radius = stable_gap(c).radius
     inside = evals[np.abs(evals) < radius] if radius > 0.0 else evals[:0]
-    pair = 0.0 <= c < 1.0 and m * (1.0 - c) > c
+    pair = has_central_pair(m, c)
     expected = 2 if pair else 0
     ok = inside.size == expected
     central = np.sort(np.abs(evals))[:2]
@@ -470,19 +471,16 @@ def stable_gap_pattern(m: int, c: float, evals: np.ndarray) -> dict:
 
 
 def build_Htilde(spec: ModelSpec) -> np.ndarray:
-    """Boundary-modified H_tilde.
+    """Boundary-modified H_tilde: H_c with eight boundary entries changed.
 
     A gains e1 e1^T - em em^T and B gains e1 e1^T + em em^T, a rank-two
     change on each block.
     """
-    m = spec.m
-    D = _diagonal_block(spec)
-    _, B = build_blocks(spec)
-    E = np.zeros((m, m))
-    E[0, 0] = 1.0
-    F = np.zeros((m, m))
-    F[m - 1, m - 1] = 1.0
-    return np.block([[D + E - F, B + E + F], [(B + E + F).T, -D + E - F]])
+    H = build_Hc(spec)
+    first, last = [0, spec.m], [spec.m - 1, 2 * spec.m - 1]
+    H[np.ix_(first, first)] += 1.0
+    H[np.ix_(last, last)] += [[-1.0, 1.0], [1.0, -1.0]]
+    return H
 
 
 def build_modified(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -362,6 +362,26 @@ def test_secular_stable_gap_spectrum_matches_hc_spectrum(m, cs):
         assert got == want, (m, c)
 
 
+# m (1 - c) = c exactly at (3, 0.75); at (4, 0.8) m (1 - c) rounds just below c
+CENTRAL_PAIR_EDGES = ((3, 0.75, False), (4, 0.8, False), (3, 0.7, True), (4, 0.79, True))
+
+
+def test_has_central_pair_decides_secular_and_pattern():
+    for m, c, pair in CENTRAL_PAIR_EDGES:
+        assert model.has_central_pair(m, c) is pair, (m, c)
+    for m in (2, 3, 4, 5, 10, 50):
+        edge = m / (m + 1.0)
+        cs = (0.0, 0.05, 0.5, 0.7, 0.75, 0.79, 0.8, 0.9, 0.99, 1.0, 1.5)
+        for c in cs + tuple(edge * (1.0 + d) for d in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)):
+            pair = model.has_central_pair(m, c)
+            if abs(c - edge) >= 1e-9 * edge:
+                assert pair is (c < edge), (m, c)
+            assert model.stable_gap_check(m, c)["expected_count"] == (2 if pair else 0), (m, c)
+            if c > 0.0:
+                assert (model.secular_solve(ModelSpec(m, c)).hyp_root is not None) is pair, (m, c)
+        assert model.has_central_pair(m, 0.0) and not model.has_central_pair(m, 1.0)
+
+
 def test_secular_stable_gap_underflow():
     # the central pair underflows to 0 on both routes, or stays far below 1e-200
     assert model.stable_gap_check(800, 0.05)["central_abs"] == [0.0, 0.0]
@@ -411,6 +431,25 @@ def test_model_verify_sees_relative_error_in_central_pair(capsys, monkeypatch):
     assert [line.split()[1] for line in failed] == ["stable_gap_counts"]
 
 
+@pytest.mark.parametrize("m,cs", [(4, ("0.5", "1.7")), (300, ("0.5", "0.95", "1.2")), (2000, ("0.9", "1.0", "1.7"))])
+def test_secular_cli_lambda_matches_mpmath(capsys, m, cs):
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for c in cs:
+        assert main(["model", "secular", "-m", str(m), "-c", c]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "k,alpha,lambda,branch"
+        rows = [line.split(",") for line in lines[1:] if line.endswith(",trig")]
+        assert main(["model", "secular", "-m", str(m), "-c", c, "--format", "json"]) == 0
+        trig = json.loads(capsys.readouterr().out)["trig"]
+        assert [(float(a), float(lam)) for _, a, lam, _ in rows] == [(t["alpha"], t["lambda"]) for t in trig]
+        with mp.workdps(50):
+            cm = mp.mpf(float(c))
+            for t in trig:
+                ref = (1 - cm) ** 2 + 4 * cm * mp.sin(mp.mpf(t["alpha"]) / 2) ** 2
+                assert abs(mp.mpf(t["lambda"]) - ref) <= 4 * eps * ref, (m, c, t)
+
+
 def test_modified_k0_squares_to_four():
     Kt, _ = model.build_modified(ModelSpec(4, 0.0))
     assert np.array_equal(Kt @ Kt, 4.0 * np.eye(8))
@@ -422,6 +461,42 @@ def test_modified_unitary_consistency():
     assert np.array_equal(Ht, model.build_Htilde(spec))
     U = involution(spec.m)
     assert np.allclose(U @ Ht @ U, Kt, atol=1e-13)
+
+
+def _htilde_block_formula(spec):
+    # A gains E - F and B gains E + F, E = e1 e1^T and F = em em^T
+    m = spec.m
+    D, B = model.build_blocks(spec)
+    if spec.disorder is None:
+        D[np.diag_indices(m)] += 2.0 * spec.c
+    E = np.zeros((m, m))
+    E[0, 0] = 1.0
+    F = np.zeros((m, m))
+    F[m - 1, m - 1] = 1.0
+    return np.block([[D + E - F, B + E + F], [(B + E + F).T, -D + E - F]])
+
+
+def test_build_Htilde_matches_block_formula():
+    specs = [ModelSpec(m, c) for m in (2, 3, 7) for c in (0.0, 0.4, 1.3)]
+    specs.append(ModelSpec(7, 0.0, DisorderSpec(-1.5, 2.5, 11)))
+    for spec in specs:
+        assert np.array_equal(model.build_Htilde(spec), _htilde_block_formula(spec)), spec
+
+
+def test_builders_draw_disorder_once(monkeypatch):
+    calls = []
+    draw = model.draw_disorder
+
+    def counted(spec):
+        calls.append(spec)
+        return draw(spec)
+
+    monkeypatch.setattr(model, "draw_disorder", counted)
+    spec = ModelSpec(6, 0.0, DisorderSpec(-1.0, 2.0, 5))
+    for build in (model.build_Hc, model.build_Htilde):
+        calls.clear()
+        build(spec)
+        assert calls == [spec], build.__name__
 
 
 def test_modified_spectrum_closed_form():
