@@ -33,19 +33,31 @@ LOG10_FLOOR = -300.0
 LN10 = float(np.log(10.0))
 
 
+def _column_format(v) -> str:
+    # the %-format of a non-bool value; _fmt and _csv spell bools true/false first
+    if isinstance(v, (int, np.integer)):
+        return "%d"
+    if isinstance(v, (float, np.floating)):
+        return "%.17g"
+    return "%s"
+
+
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
-    return str(v)
+    return _column_format(v) % v
 
 
 def _csv(header: list[str], rows) -> str:
+    """CSV text; each column is printed with one %-format, chosen from its first value."""
+    rows = list(rows)
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    if rows:
+        bools = [isinstance(v, (bool, np.bool_)) for v in rows[0]]
+        if any(bools):
+            rows = [tuple(_fmt(v) if b else v for b, v in zip(bools, row)) for row in rows]
+        fmt = ",".join(_column_format(v) for v in rows[0])
+        lines.extend(fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -277,7 +289,7 @@ def _cmd_modified(args) -> int:
         "inside_gap_count": int(np.count_nonzero(np.abs(evals) < radius)),
     }
     if args.c == 0.0:
-        Kt, _ = model.build_modified(spec)
+        Kt = model.build_Ktilde(spec)
         eye = 4.0 * np.eye(2 * args.m)
         payload["k0_square_defect"] = float(np.max(np.abs(Kt @ Kt - eye)))
     _emit(_json(payload), args.output)
@@ -312,7 +324,7 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
         worst[name] = max(worst[name], float(defect))
 
     for m in m_list:
-        Kt0, _ = model.build_modified(model.ModelSpec(m, 0.0))
+        Kt0 = model.build_Ktilde(model.ModelSpec(m, 0.0))
         note("modified_k0_square", np.max(np.abs(Kt0 @ Kt0 - 4.0 * np.eye(2 * m))))
         for c in c_list:
             spec = model.ModelSpec(m, float(c))

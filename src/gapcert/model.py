@@ -194,6 +194,41 @@ def _dF(m: int, c: float, al: np.ndarray):
     )
 
 
+def _newton(f, lo: np.ndarray, hi: np.ndarray, al: np.ndarray, neg: np.ndarray, passes: int):
+    """Bracket-safeguarded Newton on every bracket [lo[i], hi[i]] of the elementwise f together.
+
+    neg[i] tells whether f < 0 at lo[i], and al holds the start points.
+    Each pass evaluates f once, at al + ih with h = 1e-100: f is real
+    analytic, so the real part is f(al) and the imaginary part over h is
+    f'(al) to rounding (the complex-step derivative), both from one set
+    of sin/cos values.  The sign of f(al) moves one end of the bracket
+    to al; the Newton point is taken where it stays inside the bracket,
+    the bracket's midpoint otherwise.  A lane is done, and keeps its
+    value, once its Newton step is within 4 eps of al (rounding level).
+    Returns the points and the done mask after at most `passes` passes.
+    """
+    h = 1e-100
+    tol = 4.0 * np.finfo(float).eps
+    sign = np.where(neg, -1.0, 1.0)
+    done = np.zeros(al.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(passes):
+            z = f(al + 1j * h)
+            g = sign * z.real
+            lo = np.where(g >= 0.0, al, lo)
+            hi = np.where(g <= 0.0, al, hi)
+            nxt = al - z.real / (z.imag / h)
+            small = np.abs(nxt - al) <= tol * np.abs(al)
+            inside = (lo <= nxt) & (nxt <= hi)
+            # a rounding-level step that leaves the bracket keeps al
+            nxt = np.where(inside, nxt, np.where(small, al, 0.5 * (lo + hi)))
+            al = np.where(done, al, nxt)
+            done |= small
+            if done.all():
+                break
+    return al, done
+
+
 def _bisect(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
     """Bisect every bracket [lo[i], hi[i]] of the elementwise f together.
 
@@ -329,13 +364,16 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
 
     Trigonometric roots are bracketed between the poles of tan(m alpha)
     (plus the sign change of 1 - c cos(alpha) when c > 1).  The smooth
-    form is evaluated once on all bracket points, every sign-changing
-    bracket is bisected together, and each lane is polished by up to
-    three Newton steps that stay inside its bracket.  The bisection makes
-    at most 80 array evaluations (about 55 before every bracket stops
-    moving) where a bracket-by-bracket loop makes about 80 m scalar ones,
-    and finds the same roots.  The hyperbolic root, when has_central_pair
-    demands one, is solved separately near alpha0 by _hyp_root.
+    form is evaluated once on all bracket points, and every
+    sign-changing bracket is solved together by _newton, started from
+    the phase form of the smooth secular function.  That takes 3 to 6
+    array evaluations in all (a bisection to adjacent floats took about
+    57).  Lanes still moving after 10 passes hold roots in the rounding
+    noise of F (near m (1 - c) = c, where the smallest root tends to 0);
+    they are bisected on their brackets and polished by up to three
+    Newton steps, as a bracket-by-bracket scalar loop would.  The
+    hyperbolic root, when has_central_pair demands one, is solved
+    separately near alpha0 by _hyp_root.
     """
     if spec.disorder is not None:
         raise ValueError("secular equation is defined for the deterministic model only")
@@ -361,15 +399,27 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     exact = vals[:-1] == 0.0
     bracket = ~exact & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
     lo, hi = pts[:-1][bracket], pts[1:][bracket]
-    al = _bisect(lambda t: _F(m, c, t), lo, hi, 80)
-    live = np.ones(al.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            d = _dF(m, c, al)
-            live &= d != 0.0
-            nxt = al - _F(m, c, al) / d
-            live &= (lo < nxt) & (nxt < hi)
-            al = np.where(live, nxt, al)
+    # phase form F = r sin(m alpha - theta(alpha)): a root solves
+    # m alpha = j pi + theta(alpha); theta at the bracket's midpoint starts it
+    mid = 0.5 * (lo + hi)
+    theta = np.arctan2(c * np.sin(mid), 1.0 - c * np.cos(mid))
+    j = np.round((m * mid - theta) / np.pi)
+    start = np.clip((j * np.pi + theta) / m, lo, hi)
+    al, done = _newton(lambda t: _F(m, c, t), lo, hi, start, vals[:-1][bracket] < 0.0, 10)
+    if not done.all():
+        # roots in F's rounding noise (near m (1 - c) = c): bisect and polish
+        slow = ~done
+        lo, hi = lo[slow], hi[slow]
+        b = _bisect(lambda t: _F(m, c, t), lo, hi, 80)
+        live = np.ones(b.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(3):
+                d = _dF(m, c, b)
+                live &= d != 0.0
+                nxt = b - _F(m, c, b) / d
+                live &= (lo < nxt) & (nxt < hi)
+                b = np.where(live, nxt, b)
+        al[slow] = b
     roots = np.unique(np.concatenate((pts[:-1][exact], al)))
     if roots.size != expected:
         raise RootCountMismatch(
@@ -483,17 +533,21 @@ def build_Htilde(spec: ModelSpec) -> np.ndarray:
     return H
 
 
-def build_modified(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary-modified pair (K_tilde, H_tilde).
+def build_Ktilde(spec: ModelSpec) -> np.ndarray:
+    """Boundary-modified K_tilde: K with +2 at the first and -2 at the last diagonal entry.
 
-    K_tilde adds +2 at the first and -2 at the last diagonal entry of K;
-    back in the H picture that is build_Htilde's rank-two change.
+    Back in the H picture that is build_Htilde's rank-two change.
     """
     m = spec.m
     Kt = build_Kc(spec)
     Kt[0, 0] += 2.0
     Kt[2 * m - 1, 2 * m - 1] -= 2.0
-    return Kt, build_Htilde(spec)
+    return Kt
+
+
+def build_modified(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary-modified pair (K_tilde, H_tilde)."""
+    return build_Ktilde(spec), build_Htilde(spec)
 
 
 def modified_spectrum_closed_form(spec: ModelSpec) -> np.ndarray:

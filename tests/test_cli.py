@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gapcert
-from gapcert import bounds, matio
+from gapcert import bounds, cli, matio
 from gapcert.cli import main
 
 from helpers import count_factorizations, rand_pd
@@ -142,6 +142,19 @@ def test_stokes_csv(tmp_path, capsys):
     idx, branch, value = lines[1].split(",")
     assert (idx, branch) == ("1", "minus") and abs(float(value) - (1.0 - PHI)) < 1e-12
     assert abs(float(lines[2].split(",")[2]) - PHI) < 1e-12
+
+
+def test_csv_column_formats_match_per_value_fmt():
+    # one %-format per column prints every value as _fmt prints it alone
+    rows = [
+        (True, 1, 0.1, "a", np.float64(1e-300), np.int64(-7), np.float32(0.1)),
+        (np.bool_(False), np.int64(2), 2.0 / 3.0, "b", np.float64(-0.0), 12, np.float32(3.0)),
+    ]
+    header = ["b", "i", "f", "s", "g", "j", "h"]
+    want = ",".join(header) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    assert cli._csv(header, rows) == want
+    assert want.splitlines()[1] == "true,1,0.10000000000000001,a,1e-300,-7,0.10000000149011612"
+    assert cli._csv(header, []) == ",".join(header) + "\n"
 
 
 def test_stokes_nab_violated_exit3(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gapcert import model
-from gapcert.cli import main
+from gapcert.cli import _build_parser, main
 from gapcert.errors import OutOfRegime
 from gapcert.linalg import Bidiagonal, bidiag_svd_hra
 from gapcert.model import DisorderSpec, ModelSpec
@@ -227,6 +227,16 @@ def test_bisect_lanes_match_scalar_bisection(iters):
     assert got[0] == 0.5 and got[2] == 5.25
 
 
+def _seeded_secular_cases():
+    rng = np.random.default_rng(20260901)
+    cases = [(int(rng.integers(2, 201)), float(rng.uniform(1e-3, 3.0))) for _ in range(80)]
+    # within 1e-9 of m (1 - c) = c, where the smallest root sinks into F's noise
+    for _ in range(20):
+        m = int(rng.integers(2, 201))
+        cases.append((m, m / (m + 1.0) + float(rng.uniform(-1e-9, 1e-9))))
+    return cases
+
+
 @pytest.mark.parametrize(
     "m,c",
     [
@@ -250,7 +260,8 @@ def test_bisect_lanes_match_scalar_bisection(iters):
         (4, 0.548224952260725),
         # hyperbolic root just below m (1 - c) = c
         (800, 800.0 / 801.0 * (1.0 - 1e-12)),
-    ],
+    ]
+    + _seeded_secular_cases(),
 )
 def test_secular_solve_matches_scalar_reference(m, c):
     sr = model.secular_solve(ModelSpec(m, c))
@@ -278,6 +289,25 @@ def test_secular_solve_vectorized(monkeypatch):
         model.secular_solve(ModelSpec(m, c))
         counts.append(calls[0])
     assert max(counts) <= 90
+
+
+def test_secular_solve_newton_evaluation_count(monkeypatch):
+    # the bracket points plus a few Newton passes, where a bisection to
+    # adjacent floats takes 57 to 59 array evaluations of the secular function
+    calls = [0]
+    F = model._F
+
+    def counted(m, c, al):
+        calls[0] += 1
+        return F(m, c, al)
+
+    monkeypatch.setattr(model, "_F", counted)
+    verify = _build_parser().parse_args(["model", "verify"])
+    grid = [(m, c) for m in verify.m for c in verify.c if c > 0.0]
+    for m, c in [(2000, 0.9), (3000, 1.7), (5000, 0.564081)] + grid:
+        calls[0] = 0
+        model.secular_solve(ModelSpec(m, c))
+        assert calls[0] <= 15, (m, c, calls[0])
 
 
 def test_hyp_root_evaluation_count(monkeypatch):
