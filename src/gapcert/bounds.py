@@ -60,8 +60,9 @@ def _min_eig(w: np.ndarray, name: str) -> float:
 class BlockSaddle:
     """Blocks of H = [[A, B], [B^T, -C]]; A and C symmetric positive semidefinite.
 
-    Validation keeps the eigenpairs of A and C (`eig_A`, `eig_C`); the SVD
-    of B and the spectrum of H are computed on first use and kept.
+    Validation keeps the eigenpairs of A and C (`eig_A`, `eig_C`); a C
+    bit-equal to A (the Kirsch form) shares A's.  The SVD of B and the
+    spectrum of H are computed on first use and kept.
     """
 
     A: np.ndarray
@@ -72,7 +73,10 @@ class BlockSaddle:
         A = np.asarray(self.A, dtype=float)
         eig_A = linalg.sym_eig(A, "A", psd=True)
         C = np.asarray(self.C, dtype=float)
-        eig_C = linalg.sym_eig(C, "C", psd=True)
+        if C.shape == A.shape and C.tobytes() == A.tobytes():
+            eig_C = eig_A
+        else:
+            eig_C = linalg.sym_eig(C, "C", psd=True)
         B = np.atleast_2d(linalg.require_finite(self.B, "B"))
         if B.shape != (A.shape[0], C.shape[0]):
             raise DimensionMismatch(

@@ -23,7 +23,11 @@ class EigenDecomposition(NamedTuple):
 
 @dataclass(frozen=True)
 class Bidiagonal:
-    """Bidiagonal matrix stored by bands; orientation is "upper" or "lower"."""
+    """Bidiagonal matrix stored by bands; orientation is "upper" or "lower".
+
+    Bands with leading axes hold a stack of bidiagonals of one order:
+    diag has shape (..., n) and offdiag (..., n - 1).
+    """
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -36,15 +40,18 @@ class Bidiagonal:
         object.__setattr__(self, "offdiag", e)
         if self.orientation not in ("upper", "lower"):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
-            raise ValueError("bands must be vectors with len(offdiag) == len(diag) - 1")
+        if d.ndim < 1 or e.shape != d.shape[:-1] + (max(d.shape[-1] - 1, 0),):
+            raise ValueError("bands must satisfy offdiag.shape == diag.shape[:-1] + (n - 1,)")
 
     def dense(self) -> np.ndarray:
-        n = self.diag.size
-        M = np.diag(self.diag)
+        n = self.diag.shape[-1]
+        M = np.zeros(self.diag.shape + (n,))
+        i = np.arange(n)
+        M[..., i, i] = self.diag
         if n > 1:
-            k = 1 if self.orientation == "upper" else -1
-            M += np.diag(self.offdiag, k=k)
+            j = np.arange(n - 1)
+            rows, cols = (j, j + 1) if self.orientation == "upper" else (j + 1, j)
+            M[..., rows, cols] = self.offdiag
         return M
 
 
@@ -154,7 +161,7 @@ def complex_svd_via_embedding(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
-    """Singular values of a bidiagonal matrix to high relative accuracy.
+    """Singular values of a bidiagonal matrix (or a stack) to high relative accuracy.
 
     The dense upper bidiagonal goes to numpy's SVD without vectors.  Its
     bidiagonal reduction is a no-op on that input, and LAPACK's
@@ -162,15 +169,16 @@ def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
     dlasq1) ends in dqds, which determines every singular value of a
     bidiagonal to a relative accuracy independent of the condition number
     (Demmel-Kahan 1990; Fernando-Parlett 1994).  Lower bidiagonal input
-    is transposed first.
+    is transposed first.  A stack goes to one stacked SVD, which runs the
+    same LAPACK call on each matrix.
     """
     d = require_finite(T.diag, "diag")
     require_finite(T.offdiag, "offdiag")
     if d.size == 0:
-        return np.zeros(0)
+        return np.zeros(d.shape)
     M = T.dense()
     if T.orientation == "lower":
-        M = M.T
+        M = M.swapaxes(-1, -2)
     return np.linalg.svd(M, compute_uv=False)
 
 

@@ -11,6 +11,7 @@ the tridiagonal whose eigenvalues the secular equation parameterizes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,72 +97,116 @@ def draw_disorder(spec: ModelSpec) -> np.ndarray:
     return _uniform(rng, spec.disorder.low, spec.disorder.high, spec.m)
 
 
+def _stack(spec: ModelSpec | Sequence[ModelSpec]) -> tuple[tuple[ModelSpec, ...], bool]:
+    # a sequence of specs of one size m is a stack; one spec is the one-element case
+    if isinstance(spec, ModelSpec):
+        return (spec,), True
+    specs = tuple(spec)
+    if not specs or any(s.m != specs[0].m for s in specs):
+        raise ValueError("a stack of specs needs one or more specs of one size m")
+    return specs, False
+
+
+def _one(stack: np.ndarray, single: bool) -> np.ndarray:
+    # the matrix of a one-spec call, the whole stack otherwise
+    return stack[0] if single else stack
+
+
+def _diagonals(specs: tuple[ModelSpec, ...], omega: np.ndarray | None) -> np.ndarray:
+    """The (k, m) stack of the diagonals of D = A + 2cI: 2c, or the disorder draw omega.
+
+    omega, when given, is the stack's disorder already drawn (draw_disorder
+    of each spec), so a caller building several operators draws once.
+    """
+    if omega is None:
+        return np.array([np.full(s.m, 2.0 * s.c) if s.disorder is None else draw_disorder(s) for s in specs])
+    if any(s.disorder is None for s in specs):
+        raise ValueError("omega is the draw of a disorder law; the spec has none")
+    return np.reshape(np.asarray(omega, dtype=float), (len(specs), specs[0].m))
+
+
+def build_Hc(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
+    """Assemble H = [[D, B], [-B, -D]] with D = A + 2cI (A_omega, c = 0 under disorder).
+
+    A sequence of specs of one size m gives the (k, 2m, 2m) stack of their
+    matrices; one spec is the one-element case, returned as a matrix.
+    omega is the disorder draw, if the caller holds it (see _diagonals).
+    """
+    specs, single = _stack(spec)
+    d = _diagonals(specs, omega)
+    k, m = d.shape
+    H = np.zeros((k, 2 * m, 2 * m))
+    i, j = np.arange(m), np.arange(m - 1)
+    H[:, i, i] = d
+    H[:, j, j + 1] = 1.0
+    H[:, j + 1, j] = 1.0
+    H[:, j, m + j + 1] = 1.0
+    H[:, j + 1, m + j] = -1.0
+    np.negative(H[:, :m, m:], out=H[:, m:, :m])
+    np.negative(H[:, :m, :m], out=H[:, m:, m:])
+    return _one(H, single)
+
+
 def build_blocks(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency block A (plus disorder if drawn) and coupling block B."""
     m = spec.m
-    A = np.zeros((m, m))
-    B = np.zeros((m, m))
-    idx = np.arange(m - 1)
-    A[idx, idx + 1] = 1.0
-    A[idx + 1, idx] = 1.0
-    B[idx, idx + 1] = 1.0
-    B[idx + 1, idx] = -1.0
-    if spec.disorder is not None:
-        A[np.diag_indices(m)] += draw_disorder(spec)
-    return A, B
+    H = build_Hc(ModelSpec(m, 0.0, spec.disorder))
+    return H[:m, :m].copy(), H[:m, m:].copy()
 
 
-def build_Hc(spec: ModelSpec) -> np.ndarray:
-    """Assemble H = [[D, B], [-B, -D]] with D = A + 2cI (A_omega, c = 0 under disorder)."""
-    D, B = build_blocks(spec)
-    D[np.diag_indices(spec.m)] += 2.0 * spec.c
-    return np.block([[D, B], [-B, -D]])
-
-
-def _x_bidiagonal(spec: ModelSpec) -> Bidiagonal:
+def _x_bidiagonal(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> Bidiagonal:
     # X = D - B is lower bidiagonal: diagonal 2c (or omega), subdiagonal 2
-    if spec.disorder is None:
-        d = np.full(spec.m, 2.0 * spec.c)
-    else:
-        d = draw_disorder(spec)
-    return Bidiagonal(d, np.full(spec.m - 1, 2.0), "lower")
+    specs, single = _stack(spec)
+    d = _diagonals(specs, omega)
+    return Bidiagonal(_one(d, single), _one(np.full_like(d[:, 1:], 2.0), single), "lower")
 
 
-def build_Kc(spec: ModelSpec) -> np.ndarray:
-    """K = U H U = [[0, X], [X^T, 0]] with X = D - B, assembled exactly."""
-    X = _x_bidiagonal(spec).dense()
-    Z = np.zeros((spec.m, spec.m))
-    return np.block([[Z, X], [X.T, Z]])
+def build_Kc(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
+    """K = U H U = [[0, X], [X^T, 0]] with X = D - B, assembled exactly; stacks as build_Hc."""
+    X = _x_bidiagonal(spec, omega).dense()
+    m = X.shape[-1]
+    K = np.zeros(X.shape[:-2] + (2 * m, 2 * m))
+    K[..., :m, m:] = X
+    K[..., m:, :m] = X.swapaxes(-1, -2)
+    return K
 
 
-def build_Tc(spec: ModelSpec) -> Bidiagonal:
-    """The lower bidiagonal factor T_c with diagonal c and subdiagonal 1."""
-    if spec.disorder is not None:
-        raise ValueError("T_c is defined for the deterministic model only")
-    return Bidiagonal(np.full(spec.m, spec.c), np.ones(spec.m - 1), "lower")
+def _masses(spec: ModelSpec | Sequence[ModelSpec], name: str) -> tuple[np.ndarray, int, bool]:
+    # (c, m, single) of a deterministic stack, c as a (k, 1) column
+    specs, single = _stack(spec)
+    if any(s.disorder is not None for s in specs):
+        raise ValueError(f"{name} is defined for the deterministic model only")
+    return np.array([[s.c] for s in specs]), specs[0].m, single
 
 
-def build_Wc(spec: ModelSpec) -> np.ndarray:
-    """Gram matrix W_c = T_{-c}^T T_{-c}: tridiagonal (-c, c^2+1, -c), corner c^2."""
-    if spec.disorder is not None:
-        raise ValueError("W_c is defined for the deterministic model only")
-    m, c = spec.m, spec.c
-    W = np.diag(np.full(m, c * c + 1.0))
-    W[m - 1, m - 1] = c * c
-    idx = np.arange(m - 1)
-    W[idx, idx + 1] = -c
-    W[idx + 1, idx] = -c
-    return W
+def build_Tc(spec: ModelSpec | Sequence[ModelSpec]) -> Bidiagonal:
+    """The lower bidiagonal factor T_c with diagonal c and subdiagonal 1; stacks as build_Hc."""
+    c, m, single = _masses(spec, "T_c")
+    d = np.repeat(c, m, axis=1)
+    return Bidiagonal(_one(d, single), _one(np.ones_like(d[:, 1:]), single), "lower")
 
 
-def hc_spectrum(spec: ModelSpec) -> np.ndarray:
+def build_Wc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
+    """Gram matrix W_c = T_{-c}^T T_{-c}: tridiagonal (-c, c^2+1, -c), corner c^2; stacks as build_Hc."""
+    c, m, single = _masses(spec, "W_c")
+    W = np.zeros((c.size, m, m))
+    i, j = np.arange(m), np.arange(m - 1)
+    W[:, i, i] = c * c + 1.0
+    W[:, -1, -1] = (c * c)[:, 0]
+    W[:, j, j + 1] = -c
+    W[:, j + 1, j] = -c
+    return _one(W, single)
+
+
+def hc_spectrum(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
     """All 2m eigenvalues of H, ascending, via the bidiagonal SVD route.
 
     sigma(H) = +-sv(X) with X = D - B, so every eigenvalue, including a
-    denormal central pair, is computed to high relative accuracy.
+    denormal central pair, is computed to high relative accuracy.  A
+    stack of specs gives a (k, 2m) stack of spectra from one stacked SVD.
     """
-    s = bidiag_svd_hra(_x_bidiagonal(spec))
-    return np.sort(np.concatenate([-s, s]))
+    s = bidiag_svd_hra(_x_bidiagonal(spec, omega))
+    return np.sort(np.concatenate([-s, s], axis=-1), axis=-1)
 
 
 def has_central_pair(m: int, c: float) -> bool:
@@ -359,7 +404,7 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
     return a0 - delta, float(log_lam)
 
 
-def secular_solve(spec: ModelSpec) -> SecularRoots:
+def secular_solve(spec: ModelSpec | Sequence[ModelSpec]) -> SecularRoots | list[SecularRoots]:
     """All m roots of the secular equation for W_c, split by branch.
 
     Trigonometric roots are bracketed between the poles of tan(m alpha)
@@ -374,31 +419,51 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     Newton steps, as a bracket-by-bracket scalar loop would.  The
     hyperbolic root, when has_central_pair demands one, is solved
     separately near alpha0 by _hyp_root.
+
+    A sequence of specs of one size m is solved as one batch and gives a
+    list of roots, one per spec: the brackets of every mass share the
+    evaluation of F, the _newton call and the fallback, each lane
+    carrying its own c.  A lane takes the same steps in a batch as alone,
+    so each mass gets the roots of its own solve, bit for bit.  The root
+    count check and the hyperbolic root stay per mass.
     """
-    if spec.disorder is not None:
-        raise ValueError("secular equation is defined for the deterministic model only")
-    m, c = spec.m, spec.c
-    if c <= 0.0:
-        raise OutOfRegime("secular equation needs c > 0")
-    hyp = has_central_pair(m, c)
-    expected = m - 1 if hyp else m
+    specs, single = _stack(spec)
+    for s in specs:
+        if s.disorder is not None:
+            raise ValueError("secular equation is defined for the deterministic model only")
+        if s.c <= 0.0:
+            raise OutOfRegime("secular equation needs c > 0")
+    m = specs[0].m
 
     poles = (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)
-    pts = np.concatenate(([1e-12], poles, [np.pi - 1e-12]))
-    alpha_hat = float(np.arccos(1.0 / c)) if c > 1.0 else None
-    if alpha_hat is not None:
-        # a pole coincidence would put a double zero at the bracket edge
-        if np.min(np.abs(alpha_hat - pts)) < 1e-9:
-            extra = [alpha_hat - 1e-9, alpha_hat + 1e-9]
-        else:
-            extra = [alpha_hat]
-        pts = np.concatenate((pts, extra))
-    pts = np.sort(pts[(0.0 < pts) & (pts < np.pi)])
+    ends = np.concatenate(([1e-12], poles, [np.pi - 1e-12]))
 
-    vals = _F(m, c, pts)
-    exact = vals[:-1] == 0.0
-    bracket = ~exact & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
-    lo, hi = pts[:-1][bracket], pts[1:][bracket]
+    def points(extra) -> np.ndarray:
+        pts = np.concatenate((ends, extra))
+        return np.sort(pts[(0.0 < pts) & (pts < np.pi)])
+
+    plain = points([])
+    grids, hats = [], []
+    for s in specs:
+        alpha_hat = float(np.arccos(1.0 / s.c)) if s.c > 1.0 else None
+        hats.append(alpha_hat)
+        if alpha_hat is None:
+            grids.append(plain)
+        # a pole coincidence would put a double zero at the bracket edge
+        elif np.min(np.abs(alpha_hat - ends)) < 1e-9:
+            grids.append(points([alpha_hat - 1e-9, alpha_hat + 1e-9]))
+        else:
+            grids.append(points([alpha_hat]))
+    sizes = [g.size for g in grids]
+    pts = np.concatenate(grids)
+    owner = np.repeat(np.arange(len(specs)), sizes)
+    cs = np.repeat([s.c for s in specs], sizes)
+    vals = _F(m, cs, pts)
+    # a bracket joins two neighbouring points of one mass
+    inner = owner[:-1] == owner[1:]
+    exact = inner & (vals[:-1] == 0.0)
+    bracket = inner & ~exact & ((vals[:-1] < 0.0) != (vals[1:] < 0.0))
+    lo, hi, c = pts[:-1][bracket], pts[1:][bracket], cs[:-1][bracket]
     # phase form F = r sin(m alpha - theta(alpha)): a root solves
     # m alpha = j pi + theta(alpha); theta at the bracket's midpoint starts it
     mid = 0.5 * (lo + hi)
@@ -409,24 +474,29 @@ def secular_solve(spec: ModelSpec) -> SecularRoots:
     if not done.all():
         # roots in F's rounding noise (near m (1 - c) = c): bisect and polish
         slow = ~done
-        lo, hi = lo[slow], hi[slow]
-        b = _bisect(lambda t: _F(m, c, t), lo, hi, 80)
+        lo, hi, cl = lo[slow], hi[slow], c[slow]
+        b = _bisect(lambda t: _F(m, cl, t), lo, hi, 80)
         live = np.ones(b.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(3):
-                d = _dF(m, c, b)
+                d = _dF(m, cl, b)
                 live &= d != 0.0
-                nxt = b - _F(m, c, b) / d
+                nxt = b - _F(m, cl, b) / d
                 live &= (lo < nxt) & (nxt < hi)
                 b = np.where(live, nxt, b)
         al[slow] = b
-    roots = np.unique(np.concatenate((pts[:-1][exact], al)))
-    if roots.size != expected:
-        raise RootCountMismatch(
-            f"found {roots.size} trigonometric roots for m={m}, c={c}, expected {expected}"
-        )
-    hyp_root = _hyp_root(m, c) if hyp else None
-    return SecularRoots(roots, hyp_root, alpha_hat)
+    lanes, zeros = owner[:-1][bracket], owner[:-1][exact]
+    solved = []
+    for i, s in enumerate(specs):
+        roots = np.unique(np.concatenate((pts[:-1][exact][zeros == i], al[lanes == i])))
+        hyp = has_central_pair(m, s.c)
+        expected = m - 1 if hyp else m
+        if roots.size != expected:
+            raise RootCountMismatch(
+                f"found {roots.size} trigonometric roots for m={m}, c={s.c}, expected {expected}"
+            )
+        solved.append(SecularRoots(roots, _hyp_root(m, s.c) if hyp else None, hats[i]))
+    return solved[0] if single else solved
 
 
 def secular_eigenvalues(spec: ModelSpec, sr: SecularRoots | None = None) -> np.ndarray:
@@ -520,44 +590,45 @@ def stable_gap_pattern(m: int, c: float, evals: np.ndarray) -> dict:
     }
 
 
-def build_Htilde(spec: ModelSpec) -> np.ndarray:
-    """Boundary-modified H_tilde: H_c with eight boundary entries changed.
+def build_Htilde(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
+    """Boundary-modified H_tilde: H_c with eight boundary entries changed; stacks as build_Hc.
 
     A gains e1 e1^T - em em^T and B gains e1 e1^T + em em^T, a rank-two
     change on each block.
     """
-    H = build_Hc(spec)
-    first, last = [0, spec.m], [spec.m - 1, 2 * spec.m - 1]
-    H[np.ix_(first, first)] += 1.0
-    H[np.ix_(last, last)] += [[-1.0, 1.0], [1.0, -1.0]]
+    H = build_Hc(spec, omega)
+    m = H.shape[-1] // 2
+    first, last = [0, m], [m - 1, 2 * m - 1]
+    H[(...,) + np.ix_(first, first)] += 1.0
+    H[(...,) + np.ix_(last, last)] += [[-1.0, 1.0], [1.0, -1.0]]
     return H
 
 
-def build_Ktilde(spec: ModelSpec) -> np.ndarray:
+def build_Ktilde(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
     """Boundary-modified K_tilde: K with +2 at the first and -2 at the last diagonal entry.
 
-    Back in the H picture that is build_Htilde's rank-two change.
+    Back in the H picture that is build_Htilde's rank-two change.  Stacks
+    as build_Hc.
     """
-    m = spec.m
-    Kt = build_Kc(spec)
-    Kt[0, 0] += 2.0
-    Kt[2 * m - 1, 2 * m - 1] -= 2.0
+    Kt = build_Kc(spec, omega)
+    Kt[..., 0, 0] += 2.0
+    Kt[..., -1, -1] -= 2.0
     return Kt
 
 
-def build_modified(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+def build_modified(
+    spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Boundary-modified pair (K_tilde, H_tilde)."""
-    return build_Ktilde(spec), build_Htilde(spec)
+    return build_Ktilde(spec, omega), build_Htilde(spec, omega)
 
 
-def modified_spectrum_closed_form(spec: ModelSpec) -> np.ndarray:
-    """Eigenvalues of H_tilde^2: 4 + 4c^2 - 4c kappa_k, each twice, ascending."""
-    if spec.disorder is not None:
-        raise ValueError("closed form is for the deterministic model only")
-    m, c = spec.m, spec.c
+def modified_spectrum_closed_form(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
+    """Eigenvalues of H_tilde^2: 4 + 4c^2 - 4c kappa_k, each twice, ascending; stacks as build_Hc."""
+    c, m, single = _masses(spec, "the closed form")
     k = np.arange(1, m + 1)
     kappa = -2.0 * np.cos((2 * k - 1) * np.pi / (2 * m))
-    return np.sort(np.repeat(4.0 + 4.0 * c * c - 4.0 * c * kappa, 2))
+    return _one(np.sort(np.repeat(4.0 + 4.0 * c * c - 4.0 * c * kappa, 2, axis=1), axis=1), single)
 
 
 def symbol_spectrum(c: float) -> tuple[tuple[float, float], tuple[tuple[float, float], tuple[float, float]]]:
@@ -599,13 +670,14 @@ def disorder_experiment(spec: ModelSpec, count_near_zero: int = 4) -> DisorderRe
     """
     if spec.disorder is None:
         raise ValueError("disorder_experiment needs a disorder law")
-    evals = hc_spectrum(spec)
+    omega = draw_disorder(spec)
+    evals = hc_spectrum(spec, omega)
     order = np.argsort(np.abs(evals), kind="stable")
     near = np.sort(evals[order[:count_near_zero]])
     abs_sorted = np.sort(np.abs(evals))
-    dense = np.linalg.eigvalsh(build_Hc(spec))
+    dense = np.linalg.eigvalsh(build_Hc(spec, omega))
     defect = float(np.max(np.abs(dense + dense[::-1])))
-    wt = np.linalg.eigvalsh(build_Htilde(spec))
+    wt = np.linalg.eigvalsh(build_Htilde(spec, omega))
     return DisorderReport(
         eigenvalues=evals,
         near_zero=near,
@@ -621,16 +693,17 @@ def disorder_experiment(spec: ModelSpec, count_near_zero: int = 4) -> DisorderRe
 def gap_scan(M_list, delta: float, m: int, seed: int) -> list[tuple[float, str, int, float]]:
     """Spectra of H_omega and H_tilde_omega over a grid of disorder means.
 
-    Each grid point M draws omega ~ U[M - delta, M + delta] from its own
-    stream (seed + index).  Returns rows (M, variant, index, eigenvalue)
+    Each grid point M draws omega ~ U[M - delta, M + delta] once, from its
+    own stream (seed + index), for both spectra.  Returns rows (M, variant, index, eigenvalue)
     with 1-based ascending indices, 2m rows per variant per M.
     """
     rows: list[tuple[float, str, int, float]] = []
     for i, M in enumerate(M_list):
         spec = ModelSpec(m, 0.0, DisorderSpec(M - delta, M + delta, seed + i))
+        omega = draw_disorder(spec)
         for variant, evals in (
-            ("H", hc_spectrum(spec)),
-            ("Htilde", np.linalg.eigvalsh(build_Htilde(spec))),
+            ("H", hc_spectrum(spec, omega)),
+            ("Htilde", np.linalg.eigvalsh(build_Htilde(spec, omega))),
         ):
             rows.extend((float(M), variant, j + 1, float(v)) for j, v in enumerate(evals))
     return rows

@@ -7,7 +7,7 @@ import pytest
 
 from gapcert import model
 from gapcert.cli import _build_parser, main
-from gapcert.errors import OutOfRegime
+from gapcert.errors import OutOfRegime, RootCountMismatch
 from gapcert.linalg import Bidiagonal, bidiag_svd_hra
 from gapcert.model import DisorderSpec, ModelSpec
 
@@ -434,18 +434,20 @@ def test_stable_gap_cli_makes_no_factorization(capsys, monkeypatch):
 
 
 def test_model_verify_solves_each_grid_point_once(capsys, monkeypatch):
+    # one batched secular solve per size m, whose lanes are that m's masses c > 0
     calls = []
     solve = model.secular_solve
 
     def counted(spec):
-        calls.append((spec.m, spec.c))
+        specs = [spec] if isinstance(spec, ModelSpec) else list(spec)
+        calls.append([(s.m, s.c) for s in specs])
         return solve(spec)
 
     monkeypatch.setattr(model, "secular_solve", counted)
     code = main(["model", "verify", "-m", "2,3,5", "-c", "0,0.5,1,1.5"])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert sorted(calls) == [(m, c) for m in (2, 3, 5) for c in (0.5, 1.0, 1.5)]
+    assert calls == [[(m, c) for c in (0.5, 1.0, 1.5)] for m in (2, 3, 5)]
 
 
 def test_model_verify_sees_relative_error_in_central_pair(capsys, monkeypatch):
@@ -527,6 +529,112 @@ def test_builders_draw_disorder_once(monkeypatch):
         calls.clear()
         build(spec)
         assert calls == [spec], build.__name__
+
+
+def test_disorder_drawn_once_per_grid_point(monkeypatch):
+    calls = []
+    draw = model.draw_disorder
+
+    def counted(spec):
+        calls.append(spec.disorder.seed)
+        return draw(spec)
+
+    monkeypatch.setattr(model, "draw_disorder", counted)
+    rows = model.gap_scan([0.5, 1.5], 0.3, 6, seed=2)
+    assert calls == [2, 3]
+    calls.clear()
+    spec = ModelSpec(6, 0.0, DisorderSpec(-1.0, 2.0, 5))
+    rep = model.disorder_experiment(spec)
+    assert calls == [5]
+    # the draw a caller passes builds what the spec's own draw builds
+    monkeypatch.undo()
+    assert np.array_equal(rep.eigenvalues, model.hc_spectrum(spec))
+    assert np.array_equal(rep.modified_eigenvalues, np.linalg.eigvalsh(model.build_Htilde(spec)))
+    scan = ModelSpec(6, 0.0, DisorderSpec(0.2, 0.8, 2))
+    assert [v for M, variant, _, v in rows if M == 0.5 and variant == "H"] == model.hc_spectrum(scan).tolist()
+    with pytest.raises(ValueError):
+        model.build_Hc(ModelSpec(6, 0.5), omega=np.zeros(6))
+
+
+STACK_MASSES = (0.0, 0.3, 0.5, 1.0, 1.7, 2.5)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 5, 12])
+def test_stacked_builders_equal_scalar_ones(m):
+    # a stack over masses holds, bit for bit, each mass's own matrix
+    specs = [ModelSpec(m, c) for c in STACK_MASSES]
+    for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, model.build_Ktilde,
+               model.build_Wc, model.hc_spectrum, model.modified_spectrum_closed_form):
+        stack = fn(specs)
+        assert stack.shape[0] == len(specs), fn.__name__
+        for spec, one in zip(specs, stack):
+            assert _bits(one) == _bits(fn(spec)), (fn.__name__, spec)
+    Kt, Ht = model.build_modified(specs)
+    assert _bits(Kt) == _bits(model.build_Ktilde(specs)) and _bits(Ht) == _bits(model.build_Htilde(specs))
+    T = model.build_Tc(specs)
+    for spec, d, e in zip(specs, T.diag, T.offdiag):
+        one = model.build_Tc(spec)
+        assert _bits(d) == _bits(one.diag) and _bits(e) == _bits(one.offdiag)
+    assert _bits(T.dense()) == _bits(np.array([model.build_Tc(s).dense() for s in specs]))
+    # stacks over disorder draws, with and without the draw passed in
+    laws = [ModelSpec(m, 0.0, DisorderSpec(-1.0, 2.0, seed)) for seed in (1, 2, 3)]
+    omega = np.array([model.draw_disorder(s) for s in laws])
+    for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, model.hc_spectrum):
+        stack = fn(laws)
+        assert _bits(stack) == _bits(fn(laws, omega)), fn.__name__
+        for spec, w, one in zip(laws, omega, stack):
+            assert _bits(one) == _bits(fn(spec)) == _bits(fn(spec, w)), (fn.__name__, spec)
+
+
+def test_stacks_need_one_size():
+    for specs in ([], [ModelSpec(3, 0.5), ModelSpec(4, 0.5)]):
+        for fn in (model.build_Hc, model.build_Wc, model.build_Tc, model.secular_solve):
+            with pytest.raises(ValueError):
+                fn(specs)
+
+
+def _edge_masses(m: int) -> list[float]:
+    # m (1 - c) = c at c = m / (m + 1); just above it the smallest root
+    # sits in F's rounding noise and takes the bisection fallback
+    e = m / (m + 1.0)
+    return [e * (1.0 - 1e-12), e, e * (1.0 + 1e-12), e * (1.0 + 1e-9)]
+
+
+@pytest.mark.parametrize("m", [2, 4, 9, 40, 300])
+def test_secular_batch_equals_per_mass_solves(m, monkeypatch):
+    rng = np.random.default_rng(m)
+    cs = _edge_masses(m) + [0.9, 1.0, 1.0 / np.cos(np.pi / (2 * m))] + sorted(rng.uniform(0.05, 3.0, 6))
+    specs = [ModelSpec(m, float(c)) for c in cs]
+    alone = [model.secular_solve(s) for s in specs]
+    fallback = []
+    bisect = model._bisect
+
+    def counted(f, lo, hi, iters):
+        fallback.append(lo.size)
+        return bisect(f, lo, hi, iters)
+
+    monkeypatch.setattr(model, "_bisect", counted)
+    batch = model.secular_solve(specs)
+    assert len(fallback) <= 1 and sum(fallback) >= 1
+    assert len(batch) == len(specs)
+    for spec, a, b in zip(specs, alone, batch):
+        assert _bits(a.trig_roots) == _bits(b.trig_roots), spec
+        assert a.hyp_root == b.hyp_root and a.alpha_hat == b.alpha_hat, spec
+    assert model.secular_solve(specs[:1])[0].trig_roots.tolist() == alone[0].trig_roots.tolist()
+
+
+def test_secular_batch_raises_per_mass(monkeypatch):
+    # a batch reports the root count mismatch of the mass it occurs at
+    F = model._F
+    monkeypatch.setattr(model, "_F", lambda m, c, al: np.where(c == 1.5, 1.0, F(m, c, al)))
+    with pytest.raises(RootCountMismatch, match="c=1.5"):
+        model.secular_solve([ModelSpec(6, 0.5), ModelSpec(6, 1.5)])
+    with pytest.raises(OutOfRegime):
+        model.secular_solve([ModelSpec(6, 0.5), ModelSpec(6, 0.0)])
 
 
 def test_modified_spectrum_closed_form():
