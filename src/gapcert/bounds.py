@@ -27,19 +27,16 @@ from .errors import (
 )
 
 
-def _psd_pair(A: np.ndarray, C: np.ndarray, names: str = "AC"):
+def _psd_pair(A: np.ndarray, C: np.ndarray):
     """Validate two equal-shaped positive semidefinite blocks.
 
-    Returns A, C as arrays and their eigenpairs; `names` labels the two
-    blocks in error messages.
+    Returns A, C as arrays and their eigenpairs.
     """
     A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
-    eig_A = linalg.sym_eig(A, names[0], psd=True)
-    eig_C = linalg.sym_eig(C, names[1], psd=True)
+    eig_A = linalg.sym_eig(A, "A", psd=True)
+    eig_C = linalg.sym_eig(C, "C", psd=True)
     if A.shape != C.shape:
-        raise DimensionMismatch(
-            f"{names[0]} and {names[1]} must share a shape, got {A.shape} and {C.shape}"
-        )
+        raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
     return A, C, eig_A, eig_C
 
 
@@ -137,22 +134,6 @@ class GapCertificate:
         }
 
 
-@dataclass(frozen=True)
-class NullSpaceReport:
-    """Null space of H split into its two halves."""
-
-    na_nb: np.ndarray  # basis of N(A) ∩ N(B^T)
-    nc_nb: np.ndarray  # basis of N(C) ∩ N(B)
-    singular: bool
-
-
-def null_space_H(H: BlockSaddle, tol_rank: float | None = None) -> NullSpaceReport:
-    """Null space of the assembled H: x-part in N(A)∩N(B^T), y-part in N(C)∩N(B)."""
-    na_nb = linalg.null_space_basis(np.vstack([H.A, H.B.T]), tol_rank)
-    nc_nb = linalg.null_space_basis(np.vstack([H.C, H.B]), tol_rank)
-    return NullSpaceReport(na_nb, nc_nb, na_nb.shape[1] + nc_nb.shape[1] > 0)
-
-
 def diag_gap(H: BlockSaddle) -> GapCertificate:
     """Gap interval (-min sigma(C), min sigma(A)) from the diagonal blocks alone.
 
@@ -231,17 +212,6 @@ def inv_IplusAC_bound(A: np.ndarray, C: np.ndarray) -> float:
     return 1.0 + min(t1, t2, t3) / den
 
 
-def verify_norm_floor(A: np.ndarray, C: np.ndarray) -> tuple[float, bool]:
-    """Return (||I + AC||, flag); the norm is >= 1 with equality iff AC = 0."""
-    A, C, (wa, _), (wc, _) = _psd_pair(A, C)
-    AC = A @ C
-    norm = linalg.op_norm(np.eye(A.shape[0]) + AC)
-    # AC counts as zero relative to ||A|| ||C||, the scale its rounding error has
-    scale = np.max(np.abs(wa), initial=0.0) * np.max(np.abs(wc), initial=0.0)
-    zero = linalg.op_norm(AC) <= 1e-12 * scale
-    return norm, zero
-
-
 def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     """Gap certificate driven by invertibility of B rather than of A and C.
 
@@ -315,18 +285,16 @@ def zero_dichotomy_certificate(H: BlockSaddle, tol_rank: float | None = None) ->
     )
 
 
-def kirsch_certificate(A: np.ndarray, B: np.ndarray) -> GapCertificate:
+def kirsch_certificate(H: BlockSaddle) -> GapCertificate:
     """Gap radius sqrt(min sigma(A)^2 + min sigma(B)^2) for H = [[A, B], [B, -A]].
 
     A and B must be symmetric positive semidefinite of equal size, at
-    least one of them definite.
+    least one of them definite.  Reads the eigenvalues of A the saddle
+    keeps; only B is factorized.
     """
-    _, _, (wa, _), (wb, _) = _psd_pair(A, B, "AB")
-    return _kirsch(wa, wb)
-
-
-def _kirsch(wa: np.ndarray, wb: np.ndarray) -> GapCertificate:
-    # wa, wb: ascending eigenvalues of the validated blocks A and B
+    if H.m != H.k or np.max(np.abs(H.C - H.A)) > 1e-12 * np.max(np.abs(H.A)):
+        raise ValueError("kirsch form needs square blocks with C = A")
+    wa, wb = H.eig_A.values, linalg.sym_eig(H.B, "B", psd=True).values
     if not (linalg.definite(wa) or linalg.definite(wb)):
         raise BothSemidefiniteSingular("both A and B have smallest eigenvalue zero")
     amin = max(float(wa[0]), 0.0)
@@ -339,16 +307,6 @@ def _kirsch(wa: np.ndarray, wb: np.ndarray) -> GapCertificate:
         inv_norm_bound=1.0 / radius,
         quantities={"min_sigma_A": amin, "min_sigma_B": bmin},
     )
-
-
-def kirsch_saddle_certificate(H: BlockSaddle) -> GapCertificate:
-    """kirsch_certificate(A, B) for a saddle in the form [[A, B], [B, -A]].
-
-    Reads the eigenvalues of A the saddle keeps; only B is factorized.
-    """
-    if H.m != H.k or np.max(np.abs(H.C - H.A)) > 1e-12 * np.max(np.abs(H.A)):
-        raise ValueError("kirsch form needs square blocks with C = A")
-    return _kirsch(H.eig_A.values, linalg.sym_eig(H.B, "B", psd=True).values)
 
 
 def winklmeier_bound(H: BlockSaddle) -> float:

@@ -1,8 +1,9 @@
 """Command-line front end for certificates, Stokes intervals, and model scans.
 
 Exit codes: 0 on success, 2 on input/parse errors, 3 when a theorem
-hypothesis fails (the message names it).  `model verify` additionally
-exits 1 when an invariant check fails.  All output is deterministic at
+hypothesis fails (the message names it) or a result overflows the
+float range.  `model verify` additionally exits 1 when an invariant
+check fails.  All output is deterministic at
 a fixed BLAS thread count: identical arguments then produce
 byte-identical bytes.  A different thread count can change the
 trailing digits of dense eigenvalues.
@@ -89,8 +90,8 @@ def _int_list(s: str) -> list[int]:
 def _t_grid(s: str) -> np.ndarray:
     lo_s, hi_s, steps_s = s.split(":")
     lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
-    if steps < 2 or not hi > lo:
-        raise ValueError(f"range {s!r} must satisfy lo < hi and steps >= 2")
+    if steps < 2 or not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"range {s!r} must satisfy finite lo < hi and steps >= 2")
     return np.linspace(lo, hi, steps)
 
 
@@ -137,7 +138,7 @@ BOUND_CERTS = {
     "stretch": lambda S, tol_rank: bounds.stretch_certificate(S),
     "hbinv": lambda S, tol_rank: bounds.hbinv_certificate(S),
     "zero-dichotomy": lambda S, tol_rank: bounds.zero_dichotomy_certificate(S, tol_rank),
-    "kirsch": lambda S, tol_rank: bounds.kirsch_saddle_certificate(S),
+    "kirsch": lambda S, tol_rank: bounds.kirsch_certificate(S),
     "winklmeier": lambda S, tol_rank: bounds.winklmeier_certificate(S),
 }
 BOUND_METHODS = list(BOUND_CERTS)
@@ -514,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RootCountMismatch, np.linalg.LinAlgError) as exc:
+    except (ValueError, RootCountMismatch, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

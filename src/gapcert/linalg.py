@@ -23,7 +23,7 @@ class EigenDecomposition(NamedTuple):
 
 @dataclass(frozen=True)
 class Bidiagonal:
-    """Bidiagonal matrix stored by bands; orientation is "upper" or "lower".
+    """Lower bidiagonal matrix stored by bands: the diagonal and the subdiagonal.
 
     Bands with leading axes hold a stack of bidiagonals of one order:
     diag has shape (..., n) and offdiag (..., n - 1).
@@ -31,15 +31,12 @@ class Bidiagonal:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    orientation: str = "lower"
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
         e = np.asarray(self.offdiag, dtype=float)
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
-        if self.orientation not in ("upper", "lower"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
         if d.ndim < 1 or e.shape != d.shape[:-1] + (max(d.shape[-1] - 1, 0),):
             raise ValueError("bands must satisfy offdiag.shape == diag.shape[:-1] + (n - 1,)")
 
@@ -50,8 +47,7 @@ class Bidiagonal:
         M[..., i, i] = self.diag
         if n > 1:
             j = np.arange(n - 1)
-            rows, cols = (j, j + 1) if self.orientation == "upper" else (j + 1, j)
-            M[..., rows, cols] = self.offdiag
+            M[..., j + 1, j] = self.offdiag
         return M
 
 
@@ -62,18 +58,6 @@ def require_finite(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def _require_symmetric(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    # the symmetry half of sym_eig; returns M and the scale its tolerances use
-    M = require_finite(M, name)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetric(f"{name} must be square, got shape {M.shape}")
-    scale = op_norm_bound(M)
-    defect = np.max(np.abs(M - M.T)) if M.size else 0.0
-    if defect > 1e-12 * scale:
-        raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
-    return M, scale
-
-
 def sym_eig(M: np.ndarray, name: str = "matrix", psd: bool = False) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix, values ascending.
 
@@ -82,7 +66,13 @@ def sym_eig(M: np.ndarray, name: str = "matrix", psd: bool = False) -> EigenDeco
     above 1e-12 of it fails, and with psd=True so does an eigenvalue below
     -1e-10 of it.
     """
-    M, scale = _require_symmetric(M, name)
+    M = require_finite(M, name)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NotSymmetric(f"{name} must be square, got shape {M.shape}")
+    scale = op_norm_bound(M)
+    defect = np.max(np.abs(M - M.T)) if M.size else 0.0
+    if defect > 1e-12 * scale:
+        raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
     if psd and w.size and w[0] < -1e-10 * scale:
         raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}, not positive semidefinite")
@@ -145,41 +135,23 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def complex_svd_via_embedding(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Singular values of A + iB, both real symmetric, via a real embedding.
-
-    Each block is checked for symmetry at its own scale.  The matrix
-    E = [[A, B], [B, -A]] then has spectrum +-sigma(A + iB), so the n
-    largest eigenvalues are the wanted singular values, returned descending.
-    """
-    A, _ = _require_symmetric(A, "A")
-    B, _ = _require_symmetric(B, "B")
-    if A.shape != B.shape:
-        raise NotSymmetric(f"blocks must be equal-shaped, got {A.shape} and {B.shape}")
-    w = np.linalg.eigvalsh(np.block([[A, B], [B, -A]]))
-    return w[A.shape[0]:][::-1]
-
-
 def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
-    """Singular values of a bidiagonal matrix (or a stack) to high relative accuracy.
+    """Singular values of a lower bidiagonal matrix (or a stack) to high relative accuracy.
 
-    The dense upper bidiagonal goes to numpy's SVD without vectors.  Its
-    bidiagonal reduction is a no-op on that input, and LAPACK's
-    values-only path (dgesdd with JOBZ='N': dbdsdc -> dlasdq -> dbdsqr ->
-    dlasq1) ends in dqds, which determines every singular value of a
-    bidiagonal to a relative accuracy independent of the condition number
-    (Demmel-Kahan 1990; Fernando-Parlett 1994).  Lower bidiagonal input
-    is transposed first.  A stack goes to one stacked SVD, which runs the
-    same LAPACK call on each matrix.
+    The dense lower bidiagonal is transposed to upper and goes to numpy's
+    SVD without vectors.  Its bidiagonal reduction is a no-op on that
+    input, and LAPACK's values-only path (dgesdd with JOBZ='N': dbdsdc ->
+    dlasdq -> dbdsqr -> dlasq1) ends in dqds, which determines every
+    singular value of a bidiagonal to a relative accuracy independent of
+    the condition number (Demmel-Kahan 1990; Fernando-Parlett 1994).  A
+    stack goes to one stacked SVD, which runs the same LAPACK call on
+    each matrix.
     """
     d = require_finite(T.diag, "diag")
     require_finite(T.offdiag, "offdiag")
     if d.size == 0:
         return np.zeros(d.shape)
-    M = T.dense()
-    if T.orientation == "lower":
-        M = M.swapaxes(-1, -2)
-    return np.linalg.svd(M, compute_uv=False)
+    return np.linalg.svd(T.dense().swapaxes(-1, -2), compute_uv=False)
 
 
 def null_space_basis(M: np.ndarray, tol_rank: float | None = None) -> np.ndarray:

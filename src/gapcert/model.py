@@ -29,11 +29,8 @@ class DisorderSpec:
     low: float
     high: float
     seed: int
-    law: str = "uniform"
 
     def __post_init__(self):
-        if self.law != "uniform":
-            raise ValueError(f"only the uniform law is supported, got {self.law!r}")
         if not self.high >= self.low:
             raise ValueError(f"empty disorder range [{self.low}, {self.high}]")
 
@@ -50,6 +47,8 @@ class ModelSpec:
         object.__setattr__(self, "m", int(self.m))
         if not self.c >= 0.0:
             raise ValueError(f"c must be nonnegative, got {self.c}")
+        if self.c == np.inf:
+            raise ValueError("c must be finite, got inf")
         if self.disorder is not None and self.c != 0.0:
             raise ValueError("disordered model carries its shift in the law's mean; set c = 0")
 
@@ -147,18 +146,11 @@ def build_Hc(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = N
     return _one(H, single)
 
 
-def build_blocks(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency block A (plus disorder if drawn) and coupling block B."""
-    m = spec.m
-    H = build_Hc(ModelSpec(m, 0.0, spec.disorder))
-    return H[:m, :m].copy(), H[:m, m:].copy()
-
-
 def _x_bidiagonal(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> Bidiagonal:
     # X = D - B is lower bidiagonal: diagonal 2c (or omega), subdiagonal 2
     specs, single = _stack(spec)
     d = _diagonals(specs, omega)
-    return Bidiagonal(_one(d, single), _one(np.full_like(d[:, 1:], 2.0), single), "lower")
+    return Bidiagonal(_one(d, single), _one(np.full_like(d[:, 1:], 2.0), single))
 
 
 def build_Kc(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
@@ -183,7 +175,7 @@ def build_Tc(spec: ModelSpec | Sequence[ModelSpec]) -> Bidiagonal:
     """The lower bidiagonal factor T_c with diagonal c and subdiagonal 1; stacks as build_Hc."""
     c, m, single = _masses(spec, "T_c")
     d = np.repeat(c, m, axis=1)
-    return Bidiagonal(_one(d, single), _one(np.ones_like(d[:, 1:]), single), "lower")
+    return Bidiagonal(_one(d, single), _one(np.ones_like(d[:, 1:]), single))
 
 
 def build_Wc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
@@ -616,13 +608,6 @@ def build_Ktilde(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None
     return Kt
 
 
-def build_modified(
-    spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary-modified pair (K_tilde, H_tilde)."""
-    return build_Ktilde(spec, omega), build_Htilde(spec, omega)
-
-
 def modified_spectrum_closed_form(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """Eigenvalues of H_tilde^2: 4 + 4c^2 - 4c kappa_k, each twice, ascending; stacks as build_Hc."""
     c, m, single = _masses(spec, "the closed form")
@@ -649,7 +634,7 @@ class DisorderReport:
     """Spectra and symmetry diagnostics of one disorder draw."""
 
     eigenvalues: np.ndarray
-    near_zero: np.ndarray
+    near_zero: np.ndarray  # the four eigenvalues nearest zero, ascending
     central_magnitude: float
     symmetry_defect: float
     surrounding_edge: float
@@ -658,7 +643,7 @@ class DisorderReport:
     modified_symmetry_defect: float
 
 
-def disorder_experiment(spec: ModelSpec, count_near_zero: int = 4) -> DisorderReport:
+def disorder_experiment(spec: ModelSpec) -> DisorderReport:
     """Spectra of H_omega and its boundary modification for one seed.
 
     H_omega keeps the +- symmetry (its eigenvalues are +-sv(A_omega - B),
@@ -673,7 +658,7 @@ def disorder_experiment(spec: ModelSpec, count_near_zero: int = 4) -> DisorderRe
     omega = draw_disorder(spec)
     evals = hc_spectrum(spec, omega)
     order = np.argsort(np.abs(evals), kind="stable")
-    near = np.sort(evals[order[:count_near_zero]])
+    near = np.sort(evals[order[:4]])
     abs_sorted = np.sort(np.abs(evals))
     dense = np.linalg.eigvalsh(build_Hc(spec, omega))
     defect = float(np.max(np.abs(dense + dense[::-1])))

@@ -95,7 +95,7 @@ def test_ac02_certificate_soundness_suite():
             pass
 
         Ak, Bk = rand_psd(rng, n), rand_pd(rng, n)
-        cert = bounds.kirsch_certificate(Ak, Bk)
+        cert = bounds.kirsch_certificate(BlockSaddle(Ak, Bk, Ak))
         wk = np.linalg.eigvalsh(np.block([[Ak, Bk], [Bk, -Ak]]))
         issued["kirsch"] += 1
         if violations(wk, *cert.interval) or not _bound_holds(cert, wk):
@@ -256,11 +256,11 @@ def test_ac09_boundary_modification():
     worst_sq = worst_sym = worst_closed = 0.0
     avoids = True
     for m in (2, 3, 5, 10, 25, 50):
-        Kt0, _ = model.build_modified(ModelSpec(m, 0.0))
+        Kt0 = model.build_Ktilde(ModelSpec(m, 0.0))
         worst_sq = max(worst_sq, linalg.op_norm(Kt0 @ Kt0 - 4.0 * np.eye(2 * m)))
         for c in (0.0, 0.5, 1.0, 1.5, 2.0):
             spec = ModelSpec(m, c)
-            wt = np.linalg.eigvalsh(model.build_modified(spec)[1])
+            wt = np.linalg.eigvalsh(model.build_Htilde(spec))
             worst_sym = max(worst_sym, float(np.max(np.abs(wt + wt[::-1]))))
             closed = model.modified_spectrum_closed_form(spec)
             worst_closed = max(worst_closed, float(np.max(np.abs(np.sort(wt**2) - closed))))

@@ -298,6 +298,24 @@ def test_counterexamples_bad_range_exit2(capsys):
     assert run(capsys, "counterexamples", "--t-range", "5:20:1")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["model", "secular", "-m", "3", "-c", "1e155"], 3),
+        (["model", "stable-gap", "-m", "3", "-c", "1e300"], 3),
+        (["counterexamples", "--t-range", "1e160:1e170:3"], 3),
+        (["model", "stable-gap", "-m", "3", "-c", "inf"], 3),
+        (["counterexamples", "--t-range", "0:inf:3"], 2),
+    ],
+)
+def test_overflow_and_nonfinite_input_exit_with_one_error_line(capsys, argv, want):
+    # overflow is a domain error (3); a non-finite range endpoint is an input error (2)
+    code, out, err = run(capsys, *argv)
+    assert code == want and out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_verdict_margin_is_scale_relative(tmp_path, capsys, monkeypatch):
     # at scale 1e-12 every eigenvalue lies far inside an absolute 1e-10
     # margin; the verdict must still see one inside the certified interval

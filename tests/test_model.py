@@ -38,18 +38,19 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(3, -0.1)
     with pytest.raises(ValueError):
+        ModelSpec(3, np.inf)
+    with pytest.raises(ValueError):
         ModelSpec(3, 0.5, DisorderSpec(-1.0, 1.0, 0))
     with pytest.raises(ValueError):
         DisorderSpec(1.0, -1.0, 0)
-    with pytest.raises(ValueError):
-        DisorderSpec(-1.0, 1.0, 0, law="gaussian")
 
 
-def test_build_blocks_small():
-    A, B = model.build_blocks(ModelSpec(2))
+def test_hc_blocks_small():
+    H = model.build_Hc(ModelSpec(2))
+    A, B = H[:2, :2], H[:2, 2:]
     assert np.array_equal(A, [[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(B, [[0.0, 1.0], [-1.0, 0.0]])
-    A3, _ = model.build_blocks(ModelSpec(3))
+    A3 = model.build_Hc(ModelSpec(3))[:3, :3]
     assert np.allclose(np.linalg.eigvalsh(A3), [-np.sqrt(2.0), 0.0, np.sqrt(2.0)])
 
 
@@ -72,7 +73,7 @@ def test_x_block_is_twice_Tc():
 def test_gram_identity():
     spec = ModelSpec(6, 0.7)
     W = model.build_Wc(spec)
-    Tm = Bidiagonal(np.full(6, -0.7), np.ones(5), "lower").dense()
+    Tm = Bidiagonal(np.full(6, -0.7), np.ones(5)).dense()
     assert np.allclose(W, Tm.T @ Tm, atol=1e-14)
     assert W[0, 0] == 0.7**2 + 1.0 and W[5, 5] == 0.7**2 and W[0, 1] == -0.7
     sv = bidiag_svd_hra(model.build_Tc(spec))
@@ -483,14 +484,13 @@ def test_secular_cli_lambda_matches_mpmath(capsys, m, cs):
 
 
 def test_modified_k0_squares_to_four():
-    Kt, _ = model.build_modified(ModelSpec(4, 0.0))
+    Kt = model.build_Ktilde(ModelSpec(4, 0.0))
     assert np.array_equal(Kt @ Kt, 4.0 * np.eye(8))
 
 
 def test_modified_unitary_consistency():
     spec = ModelSpec(5, 1.3)
-    Kt, Ht = model.build_modified(spec)
-    assert np.array_equal(Ht, model.build_Htilde(spec))
+    Kt, Ht = model.build_Ktilde(spec), model.build_Htilde(spec)
     U = involution(spec.m)
     assert np.allclose(U @ Ht @ U, Kt, atol=1e-13)
 
@@ -498,7 +498,8 @@ def test_modified_unitary_consistency():
 def _htilde_block_formula(spec):
     # A gains E - F and B gains E + F, E = e1 e1^T and F = em em^T
     m = spec.m
-    D, B = model.build_blocks(spec)
+    H = model.build_Hc(ModelSpec(m, 0.0, spec.disorder))
+    D, B = H[:m, :m], H[:m, m:]
     if spec.disorder is None:
         D[np.diag_indices(m)] += 2.0 * spec.c
     E = np.zeros((m, m))
@@ -573,8 +574,6 @@ def test_stacked_builders_equal_scalar_ones(m):
         assert stack.shape[0] == len(specs), fn.__name__
         for spec, one in zip(specs, stack):
             assert _bits(one) == _bits(fn(spec)), (fn.__name__, spec)
-    Kt, Ht = model.build_modified(specs)
-    assert _bits(Kt) == _bits(model.build_Ktilde(specs)) and _bits(Ht) == _bits(model.build_Htilde(specs))
     T = model.build_Tc(specs)
     for spec, d, e in zip(specs, T.diag, T.offdiag):
         one = model.build_Tc(spec)
@@ -643,7 +642,7 @@ def test_modified_spectrum_closed_form():
     assert np.allclose(closed, [8 - 4 * root2, 8 - 4 * root2, 8 + 4 * root2, 8 + 4 * root2])
     for m, c in ((5, 1.3), (8, 0.5), (6, 0.0)):
         spec = ModelSpec(m, c)
-        wt = np.linalg.eigvalsh(model.build_modified(spec)[1])
+        wt = np.linalg.eigvalsh(model.build_Htilde(spec))
         assert np.allclose(np.sort(wt**2), model.modified_spectrum_closed_form(spec), atol=1e-9)
         assert np.max(np.abs(wt + wt[::-1])) < 1e-10 * np.max(np.abs(wt))
         # the modified spectrum clears the stable gap entirely
