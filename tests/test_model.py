@@ -45,7 +45,7 @@ def test_model_spec_validation():
         DisorderSpec(1.0, -1.0, 0)
 
 
-def test_hc_blocks_small():
+def test_build_blocks_small():
     H = model.build_Hc(ModelSpec(2))
     A, B = H[:2, :2], H[:2, 2:]
     assert np.array_equal(A, [[0.0, 1.0], [1.0, 0.0]])
