@@ -238,7 +238,7 @@ def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     )
 
 
-def zero_dichotomy_certificate(H: BlockSaddle, tol_rank: float | None = None) -> GapCertificate:
+def zero_dichotomy_certificate(H: BlockSaddle) -> GapCertificate:
     """Gap certificate for semidefinite A, C with matching null-space dimensions.
 
     Splitting both halves into range and null parts leaves a quasi-definite
@@ -249,7 +249,7 @@ def zero_dichotomy_certificate(H: BlockSaddle, tol_rank: float | None = None) ->
                       * max(||A1^{-1}||, ||C1^{-1}||, ||B22^{-1}||).
     """
     (wa, VA), (wc, VC) = H.eig_A, H.eig_C
-    null_a, null_c = linalg.negligible(wa, tol_rank), linalg.negligible(wc, tol_rank)
+    null_a, null_c = linalg.negligible(wa), linalg.negligible(wc)
     RA, NA, wa = VA[:, ~null_a], VA[:, null_a], wa[~null_a]
     RC, NC, wc = VC[:, ~null_c], VC[:, null_c], wc[~null_c]
     p, q = NA.shape[1], NC.shape[1]
@@ -316,7 +316,7 @@ def winklmeier_bound(H: BlockSaddle) -> float:
     """
     if H.m != H.k:
         raise BNotInvertible(f"B must be square, got {H.m}x{H.k}")
-    s = H.svd_B.S
+    _, s, _ = H.svd_B
     if not linalg.definite(s):
         raise BNotInvertible("B is singular to working precision")
     na = float(np.max(np.abs(H.eig_A.values)))

@@ -12,8 +12,8 @@ trailing digits of dense eigenvalues.
 reuses it for every later call, so in-process callers (a test suite, a
 benchmark loop, embedding code) pay for it once; a one-shot shell call
 builds it once as before.  The parser holds only static configuration:
-its defaults are immutable, and each `bounds` method still looks up its
-certificate function when the command runs.
+its defaults are immutable, and each `bounds` and `stokes` method still
+looks up its certificate function when the command runs.
 """
 
 from __future__ import annotations
@@ -95,13 +95,6 @@ def _t_grid(s: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _positive(s: str) -> float:
-    v = float(s)
-    if not v > 0.0:
-        raise ValueError(f"tolerance must be positive, got {s}")
-    return v
-
-
 def _oracle(evals: np.ndarray) -> dict:
     return {
         "eigenvalues": [float(v) for v in evals],
@@ -131,44 +124,51 @@ def _verdict(cert: bounds.GapCertificate, evals: np.ndarray) -> str:
     return "SOUND" if sound else "UNSOUND"
 
 
-# method name -> certificate; the bounds function is looked up at call
-# time, so rebinding it (a tracer, a test double) takes effect
+# method name -> certificate; the bounds and stokes functions are looked up
+# at call time, so rebinding one (a tracer, a test double) takes effect
 BOUND_CERTS = {
-    "diag": lambda S, tol_rank: bounds.diag_gap(S),
-    "stretch": lambda S, tol_rank: bounds.stretch_certificate(S),
-    "hbinv": lambda S, tol_rank: bounds.hbinv_certificate(S),
-    "zero-dichotomy": lambda S, tol_rank: bounds.zero_dichotomy_certificate(S, tol_rank),
-    "kirsch": lambda S, tol_rank: bounds.kirsch_certificate(S),
-    "winklmeier": lambda S, tol_rank: bounds.winklmeier_certificate(S),
+    "diag": lambda S: bounds.diag_gap(S),
+    "stretch": lambda S: bounds.stretch_certificate(S),
+    "hbinv": lambda S: bounds.hbinv_certificate(S),
+    "zero-dichotomy": lambda S: bounds.zero_dichotomy_certificate(S),
+    "kirsch": lambda S: bounds.kirsch_certificate(S),
+    "winklmeier": lambda S: bounds.winklmeier_certificate(S),
 }
-BOUND_METHODS = list(BOUND_CERTS)
+STOKES_CERTS = {
+    "minimal": lambda S: stokes.minimal_intervals(S),
+    "ruwa": lambda S: stokes.ruwa_intervals(S),
+    "axel": lambda S: stokes.axel_intervals(S),
+    "new": lambda S: stokes.new_gap_estimate(S),
+}
 
 
-def _bounds_entry(S: bounds.BlockSaddle, method: str, tol_rank) -> dict:
-    cert = BOUND_CERTS[method](S, tol_rank)
-    entry = {
-        "method": method,
-        "certificate": cert.to_json_dict(),
-        "verdict": _verdict(cert, S.eigvals_H),
-    }
-    if method == "kirsch":
-        entry["oracle"] = _oracle(S.eigvals_H)
-    return entry
+def _certify(certs: dict, method: str, S: bounds.BlockSaddle, entry) -> dict:
+    """name -> entry(name, result) for one method, whose failure raises, or for "all", failures skipped."""
+    if method != "all":
+        return {method: entry(method, certs[method](S))}
+    entries = {}
+    for name, cert in certs.items():
+        try:
+            result = cert(S)
+        except (ValueError, RootCountMismatch) as exc:
+            entries[name] = {"skipped": str(exc)}
+        else:
+            entries[name] = entry(name, result)
+    return entries
 
 
 def _cmd_bounds(args) -> int:
     S = matio.read_block_saddle(args.file)
+
+    def entry(name: str, cert: bounds.GapCertificate) -> dict:
+        e = {"certificate": cert.to_json_dict(), "verdict": _verdict(cert, S.eigvals_H)}
+        return dict(e, oracle=_oracle(S.eigvals_H)) if name == "kirsch" else e
+
+    results = [dict(e, method=name) for name, e in _certify(BOUND_CERTS, args.method, S, entry).items()]
     if args.method == "all":
-        results = []
-        for name in BOUND_METHODS:
-            try:
-                results.append(_bounds_entry(S, name, args.tol_rank))
-            except (ValueError, RootCountMismatch) as exc:
-                results.append({"method": name, "skipped": str(exc)})
         payload = {"input": str(args.file), "oracle": _oracle(S.eigvals_H), "results": results}
     else:
-        payload = _bounds_entry(S, args.method, args.tol_rank)
-        payload["input"] = str(args.file)
+        payload = dict(results[0], input=str(args.file))
     _emit(_json(payload), args.output)
     return 0
 
@@ -187,38 +187,22 @@ def _cmd_stokes(args) -> int:
     S = matio.read_block_saddle(args.file)
     if np.any(S.C != 0.0):
         raise ValueError("stokes command needs the C block to be zero")
-    ps = stokes.pencil_spectrum(S, args.tol_rank)
+    ps = stokes.pencil_spectrum(S)
     if args.format == "csv":
         rows = [(i + 1, "minus", float(v)) for i, v in enumerate(ps.lambda_minus)]
         rows += [(i + 1, "plus", float(v)) for i, v in enumerate(ps.lambda_plus)]
         _emit(_csv(["index", "branch", "value"], rows), args.output)
         return 0
     evals = S.eigvals_H
-    margin = _margin(evals)
-    entries: dict[str, dict] = {}
-    sources = [
-        ("minimal", lambda: stokes.minimal_intervals(S, args.tol_rank)),
-        ("ruwa", lambda: stokes.ruwa_intervals(S)),
-        ("axel", lambda: stokes.axel_intervals(S)),
-        ("new", lambda: stokes.new_gap_estimate(S)),
-    ]
-    for name, fn in sources:
-        if args.method not in ("all", name):
-            continue
-        try:
-            r = fn()
-        except (ValueError, RootCountMismatch) as exc:
-            if args.method == name:
-                raise
-            entries[name] = {"skipped": str(exc)}
-            continue
+
+    def entry(name: str, r) -> dict:
         if isinstance(r, stokes.IntervalPair):
-            entries[name] = dict(r.to_json_dict(), verdict=_pair_verdict(r, ps, margin))
-        else:
-            entries[name] = {"certificate": r.to_json_dict(), "verdict": _verdict(r, evals)}
+            return dict(r.to_json_dict(), verdict=_pair_verdict(r, ps, _margin(evals)))
+        return {"certificate": r.to_json_dict(), "verdict": _verdict(r, evals)}
+
     payload = {
         "input": str(args.file),
-        "intervals": entries,
+        "intervals": _certify(STOKES_CERTS, args.method, S, entry),
         "spectrum": {
             "lambda_minus": [float(v) for v in ps.lambda_minus],
             "lambda_plus": [float(v) for v in ps.lambda_plus],
@@ -452,16 +436,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="gap certificates for a block saddle file")
     b.add_argument("file", help="block saddle input file")
-    b.add_argument("--method", choices=BOUND_METHODS + ["all"], default="all")
-    b.add_argument("--tol-rank", dest="tol_rank", type=_positive, default=None)
+    b.add_argument("--method", choices=[*BOUND_CERTS, "all"], default="all")
     b.add_argument("--format", choices=["json"], default="json")
     b.add_argument("--output", default=None, help="output path (default stdout)")
     b.set_defaults(func=_cmd_bounds)
 
     s = sub.add_parser("stokes", help="branch intervals for a C = zero file")
     s.add_argument("file", help="block saddle input file with C = zero")
-    s.add_argument("--method", choices=["minimal", "ruwa", "axel", "new", "all"], default="all")
-    s.add_argument("--tol-rank", dest="tol_rank", type=_positive, default=None)
+    s.add_argument("--method", choices=[*STOKES_CERTS, "all"], default="all")
     s.add_argument("--format", choices=["json", "csv"], default="json")
     s.add_argument("--output", default=None)
     s.set_defaults(func=_cmd_stokes)

@@ -154,8 +154,8 @@ def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
     return np.linalg.svd(T.dense().swapaxes(-1, -2), compute_uv=False)
 
 
-def null_space_basis(M: np.ndarray, tol_rank: float | None = None) -> np.ndarray:
-    """Orthonormal basis of {x : ||Mx|| <= tol_rank ||M|| ||x||}, as columns.
+def null_space_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {x : ||Mx|| <= n eps ||M|| ||x||}, as columns, for M with n columns.
 
     Returns an (n, r) array; r may be zero.
     """
@@ -163,12 +163,10 @@ def null_space_basis(M: np.ndarray, tol_rank: float | None = None) -> np.ndarray
     if M.ndim != 2:
         raise ValueError("expected a matrix")
     n = M.shape[1]
-    if tol_rank is None:
-        tol_rank = n * EPS
     if M.size == 0 or not np.any(M):
         return np.eye(n)
     _, s, vt = np.linalg.svd(M, full_matrices=True)
     # rows of vt beyond min(m, n) span directions M maps to zero exactly
     null = np.ones(n, dtype=bool)
-    null[: s.size] = negligible(s, tol_rank)
+    null[: s.size] = negligible(s, n * EPS)
     return vt[null].T

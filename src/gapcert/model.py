@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,13 @@ class ModelSpec:
             raise ValueError("c must be finite, got inf")
         if self.disorder is not None and self.c != 0.0:
             raise ValueError("disordered model carries its shift in the law's mean; set c = 0")
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of D = A + 2cI: 2c, or the disorder draw, drawn once and read-only."""
+        d = np.full(self.m, 2.0 * self.c) if self.disorder is None else draw_disorder(self)
+        d.flags.writeable = False
+        return d
 
 
 @dataclass(frozen=True)
@@ -111,28 +119,14 @@ def _one(stack: np.ndarray, single: bool) -> np.ndarray:
     return stack[0] if single else stack
 
 
-def _diagonals(specs: tuple[ModelSpec, ...], omega: np.ndarray | None) -> np.ndarray:
-    """The (k, m) stack of the diagonals of D = A + 2cI: 2c, or the disorder draw omega.
-
-    omega, when given, is the stack's disorder already drawn (draw_disorder
-    of each spec), so a caller building several operators draws once.
-    """
-    if omega is None:
-        return np.array([np.full(s.m, 2.0 * s.c) if s.disorder is None else draw_disorder(s) for s in specs])
-    if any(s.disorder is None for s in specs):
-        raise ValueError("omega is the draw of a disorder law; the spec has none")
-    return np.reshape(np.asarray(omega, dtype=float), (len(specs), specs[0].m))
-
-
-def build_Hc(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
+def build_Hc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """Assemble H = [[D, B], [-B, -D]] with D = A + 2cI (A_omega, c = 0 under disorder).
 
     A sequence of specs of one size m gives the (k, 2m, 2m) stack of their
     matrices; one spec is the one-element case, returned as a matrix.
-    omega is the disorder draw, if the caller holds it (see _diagonals).
     """
     specs, single = _stack(spec)
-    d = _diagonals(specs, omega)
+    d = np.array([s.diagonal for s in specs])
     k, m = d.shape
     H = np.zeros((k, 2 * m, 2 * m))
     i, j = np.arange(m), np.arange(m - 1)
@@ -146,16 +140,16 @@ def build_Hc(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = N
     return _one(H, single)
 
 
-def _x_bidiagonal(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> Bidiagonal:
-    # X = D - B is lower bidiagonal: diagonal 2c (or omega), subdiagonal 2
+def _x_bidiagonal(spec: ModelSpec | Sequence[ModelSpec]) -> Bidiagonal:
+    # X = D - B is lower bidiagonal: diagonal 2c (or the draw), subdiagonal 2
     specs, single = _stack(spec)
-    d = _diagonals(specs, omega)
+    d = np.array([s.diagonal for s in specs])
     return Bidiagonal(_one(d, single), _one(np.full_like(d[:, 1:], 2.0), single))
 
 
-def build_Kc(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
+def build_Kc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """K = U H U = [[0, X], [X^T, 0]] with X = D - B, assembled exactly; stacks as build_Hc."""
-    X = _x_bidiagonal(spec, omega).dense()
+    X = _x_bidiagonal(spec).dense()
     m = X.shape[-1]
     K = np.zeros(X.shape[:-2] + (2 * m, 2 * m))
     K[..., :m, m:] = X
@@ -171,6 +165,15 @@ def _masses(spec: ModelSpec | Sequence[ModelSpec], name: str) -> tuple[np.ndarra
     return np.array([[s.c] for s in specs]), specs[0].m, single
 
 
+def _c_squared(c: np.ndarray) -> np.ndarray:
+    # c * c of a mass column; H's squared eigenvalues reach 4 c^2, which must stay finite
+    with np.errstate(over="ignore"):
+        c2 = c * c
+        if not np.isfinite(4.0 * c2).all():
+            raise OverflowError(f"4 c^2 overflows the float range at c = {c.max():g}")
+    return c2
+
+
 def build_Tc(spec: ModelSpec | Sequence[ModelSpec]) -> Bidiagonal:
     """The lower bidiagonal factor T_c with diagonal c and subdiagonal 1; stacks as build_Hc."""
     c, m, single = _masses(spec, "T_c")
@@ -181,23 +184,24 @@ def build_Tc(spec: ModelSpec | Sequence[ModelSpec]) -> Bidiagonal:
 def build_Wc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """Gram matrix W_c = T_{-c}^T T_{-c}: tridiagonal (-c, c^2+1, -c), corner c^2; stacks as build_Hc."""
     c, m, single = _masses(spec, "W_c")
+    c2 = _c_squared(c)
     W = np.zeros((c.size, m, m))
     i, j = np.arange(m), np.arange(m - 1)
-    W[:, i, i] = c * c + 1.0
-    W[:, -1, -1] = (c * c)[:, 0]
+    W[:, i, i] = c2 + 1.0
+    W[:, -1, -1] = c2[:, 0]
     W[:, j, j + 1] = -c
     W[:, j + 1, j] = -c
     return _one(W, single)
 
 
-def hc_spectrum(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
+def hc_spectrum(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """All 2m eigenvalues of H, ascending, via the bidiagonal SVD route.
 
     sigma(H) = +-sv(X) with X = D - B, so every eigenvalue, including a
     denormal central pair, is computed to high relative accuracy.  A
     stack of specs gives a (k, 2m) stack of spectra from one stacked SVD.
     """
-    s = bidiag_svd_hra(_x_bidiagonal(spec, omega))
+    s = bidiag_svd_hra(_x_bidiagonal(spec))
     return np.sort(np.concatenate([-s, s], axis=-1), axis=-1)
 
 
@@ -582,13 +586,13 @@ def stable_gap_pattern(m: int, c: float, evals: np.ndarray) -> dict:
     }
 
 
-def build_Htilde(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
+def build_Htilde(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """Boundary-modified H_tilde: H_c with eight boundary entries changed; stacks as build_Hc.
 
     A gains e1 e1^T - em em^T and B gains e1 e1^T + em em^T, a rank-two
     change on each block.
     """
-    H = build_Hc(spec, omega)
+    H = build_Hc(spec)
     m = H.shape[-1] // 2
     first, last = [0, m], [m - 1, 2 * m - 1]
     H[(...,) + np.ix_(first, first)] += 1.0
@@ -596,13 +600,13 @@ def build_Htilde(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None
     return H
 
 
-def build_Ktilde(spec: ModelSpec | Sequence[ModelSpec], omega: np.ndarray | None = None) -> np.ndarray:
+def build_Ktilde(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """Boundary-modified K_tilde: K with +2 at the first and -2 at the last diagonal entry.
 
     Back in the H picture that is build_Htilde's rank-two change.  Stacks
     as build_Hc.
     """
-    Kt = build_Kc(spec, omega)
+    Kt = build_Kc(spec)
     Kt[..., 0, 0] += 2.0
     Kt[..., -1, -1] -= 2.0
     return Kt
@@ -613,7 +617,7 @@ def modified_spectrum_closed_form(spec: ModelSpec | Sequence[ModelSpec]) -> np.n
     c, m, single = _masses(spec, "the closed form")
     k = np.arange(1, m + 1)
     kappa = -2.0 * np.cos((2 * k - 1) * np.pi / (2 * m))
-    return _one(np.sort(np.repeat(4.0 + 4.0 * c * c - 4.0 * c * kappa, 2, axis=1), axis=1), single)
+    return _one(np.sort(np.repeat(4.0 + 4.0 * _c_squared(c) - 4.0 * c * kappa, 2, axis=1), axis=1), single)
 
 
 def symbol_spectrum(c: float) -> tuple[tuple[float, float], tuple[tuple[float, float], tuple[float, float]]]:
@@ -655,14 +659,13 @@ def disorder_experiment(spec: ModelSpec) -> DisorderReport:
     """
     if spec.disorder is None:
         raise ValueError("disorder_experiment needs a disorder law")
-    omega = draw_disorder(spec)
-    evals = hc_spectrum(spec, omega)
+    evals = hc_spectrum(spec)
     order = np.argsort(np.abs(evals), kind="stable")
     near = np.sort(evals[order[:4]])
     abs_sorted = np.sort(np.abs(evals))
-    dense = np.linalg.eigvalsh(build_Hc(spec, omega))
+    dense = np.linalg.eigvalsh(build_Hc(spec))
     defect = float(np.max(np.abs(dense + dense[::-1])))
-    wt = np.linalg.eigvalsh(build_Htilde(spec, omega))
+    wt = np.linalg.eigvalsh(build_Htilde(spec))
     return DisorderReport(
         eigenvalues=evals,
         near_zero=near,
@@ -685,10 +688,9 @@ def gap_scan(M_list, delta: float, m: int, seed: int) -> list[tuple[float, str, 
     rows: list[tuple[float, str, int, float]] = []
     for i, M in enumerate(M_list):
         spec = ModelSpec(m, 0.0, DisorderSpec(M - delta, M + delta, seed + i))
-        omega = draw_disorder(spec)
         for variant, evals in (
-            ("H", hc_spectrum(spec, omega)),
-            ("Htilde", np.linalg.eigvalsh(build_Htilde(spec, omega))),
+            ("H", hc_spectrum(spec)),
+            ("Htilde", np.linalg.eigvalsh(build_Htilde(spec))),
         ):
             rows.extend((float(M), variant, j + 1, float(v)) for j, v in enumerate(evals))
     return rows

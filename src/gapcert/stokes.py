@@ -35,9 +35,9 @@ class StokesMatrix(bounds.BlockSaddle):
         k = np.atleast_2d(B).shape[1]
         super().__init__(A, B, np.zeros((k, k)))
 
-    def nab_holds(self, tol_rank: float | None = None) -> bool:
+    def nab_holds(self) -> bool:
         """Whether N(A) and N(B^T) intersect only in zero."""
-        return linalg.null_space_basis(np.vstack([self.A, self.B.T]), tol_rank).shape[1] == 0
+        return linalg.null_space_basis(np.vstack([self.A, self.B.T])).shape[1] == 0
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,11 @@ def rayleigh_p(x: np.ndarray, S: bounds.BlockSaddle) -> tuple[float, float]:
     return (a + root) / 2.0, (a - root) / 2.0
 
 
-def pencil_spectrum(S: bounds.BlockSaddle, tol_rank: float | None = None) -> PencilSpectrum:
+def pencil_spectrum(S: bounds.BlockSaddle) -> PencilSpectrum:
     """Classify the spectrum of H into pencil branches."""
     w = S.eigvals_H
-    neg = w[~linalg.negligible(-w, tol_rank)]
-    pos = w[~linalg.negligible(w, tol_rank)]
+    neg = w[~linalg.negligible(-w)]
+    pos = w[~linalg.negligible(w)]
     if pos.size != S.m:
         raise NABViolated(
             f"expected {S.m} positive eigenvalues, found {pos.size}; N(A) meets N(B^T)"
@@ -125,7 +125,7 @@ def pencil_spectrum(S: bounds.BlockSaddle, tol_rank: float | None = None) -> Pen
     return PencilSpectrum(lam_minus, pos[::-1], int(zero_mult))
 
 
-def minimal_intervals(S: bounds.BlockSaddle, tol_rank: float | None = None) -> IntervalPair:
+def minimal_intervals(S: bounds.BlockSaddle) -> IntervalPair:
     """Tightest branch enclosures: extremal eigenvalues of each branch.
 
     i_plus spans the positive eigenvalues; i_minus spans the strict
@@ -133,7 +133,7 @@ def minimal_intervals(S: bounds.BlockSaddle, tol_rank: float | None = None) -> I
     NABViolated through `pencil_spectrum` when N(A) meets N(B^T), the case
     in which fewer than m eigenvalues are positive.
     """
-    ps = pencil_spectrum(S, tol_rank)
+    ps = pencil_spectrum(S)
     strict = ps.strict_minus
     i_minus = (float(strict[0]), float(strict[-1])) if strict.size else (0.0, 0.0)
     i_plus = (float(ps.lambda_plus[-1]), float(ps.lambda_plus[0]))
@@ -145,7 +145,7 @@ def _outer_hypotheses(S: bounds.BlockSaddle) -> tuple[float, float]:
     w = S.eig_A.values
     if not linalg.definite(w):
         raise NotDefinite("A must be positive definite for this interval estimate")
-    if S.k > S.m or not linalg.definite(S.svd_B.S, S.m * EPS):
+    if S.k > S.m or not linalg.definite(S.svd_B[1], S.m * EPS):
         raise RankDeficient(f"B must have full column rank {S.k}")
     return float(w[0]), float(w[-1])
 
@@ -160,7 +160,7 @@ def ruwa_intervals(S: bounds.BlockSaddle) -> IntervalPair:
     I_plus  = [alpha_1, (alpha_m + sqrt(alpha_m^2 + 4 beta_max^2))/2].
     """
     a1, am = _outer_hypotheses(S)
-    s = S.svd_B.S
+    _, s, _ = S.svd_B
     bmax, bmin = float(s[0]), float(s[-1])
     i_minus = (
         (a1 - float(np.hypot(a1, 2.0 * bmax))) / 2.0,

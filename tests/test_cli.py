@@ -95,6 +95,9 @@ def test_unknown_method_exit2(tmp_path, capsys):
     f = write_block(tmp_path / "d.txt", [[1.0]], [[1.0]], [[1.0]])
     assert run(capsys, "bounds", f, "--method", "bogus")[0] == 2
     assert run(capsys, "bounds", f, "--tol-rank", "-1")[0] == 2
+    # there is no rank tolerance to set
+    for command in ("bounds", "stokes"):
+        assert run(capsys, command, f, "--tol-rank", "1e-8")[0] == 2
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
@@ -306,6 +309,8 @@ def test_counterexamples_bad_range_exit2(capsys):
         (["counterexamples", "--t-range", "1e160:1e170:3"], 3),
         (["model", "stable-gap", "-m", "3", "-c", "inf"], 3),
         (["counterexamples", "--t-range", "0:inf:3"], 2),
+        (["model", "modified", "-m", "3", "-c", "1e200", "--format", "json"], 3),
+        (["model", "verify", "-m", "3", "-c", "1e200"], 3),
     ],
 )
 def test_overflow_and_nonfinite_input_exit_with_one_error_line(capsys, argv, want):

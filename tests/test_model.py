@@ -525,11 +525,17 @@ def test_builders_draw_disorder_once(monkeypatch):
         return draw(spec)
 
     monkeypatch.setattr(model, "draw_disorder", counted)
-    spec = ModelSpec(6, 0.0, DisorderSpec(-1.0, 2.0, 5))
     for build in (model.build_Hc, model.build_Htilde):
+        spec = ModelSpec(6, 0.0, DisorderSpec(-1.0, 2.0, 5))
         calls.clear()
         build(spec)
         assert calls == [spec], build.__name__
+        # the spec keeps its draw: a second build draws nothing
+        build(spec)
+        assert calls == [spec], build.__name__
+        assert not spec.diagonal.flags.writeable
+        with pytest.raises(ValueError):
+            spec.diagonal[0] = 0.0
 
 
 def test_disorder_drawn_once_per_grid_point(monkeypatch):
@@ -547,14 +553,12 @@ def test_disorder_drawn_once_per_grid_point(monkeypatch):
     spec = ModelSpec(6, 0.0, DisorderSpec(-1.0, 2.0, 5))
     rep = model.disorder_experiment(spec)
     assert calls == [5]
-    # the draw a caller passes builds what the spec's own draw builds
+    # the experiment's spectra are the ones the builders give for its spec
     monkeypatch.undo()
     assert np.array_equal(rep.eigenvalues, model.hc_spectrum(spec))
     assert np.array_equal(rep.modified_eigenvalues, np.linalg.eigvalsh(model.build_Htilde(spec)))
     scan = ModelSpec(6, 0.0, DisorderSpec(0.2, 0.8, 2))
     assert [v for M, variant, _, v in rows if M == 0.5 and variant == "H"] == model.hc_spectrum(scan).tolist()
-    with pytest.raises(ValueError):
-        model.build_Hc(ModelSpec(6, 0.5), omega=np.zeros(6))
 
 
 STACK_MASSES = (0.0, 0.3, 0.5, 1.0, 1.7, 2.5)
@@ -579,14 +583,12 @@ def test_stacked_builders_equal_scalar_ones(m):
         one = model.build_Tc(spec)
         assert _bits(d) == _bits(one.diag) and _bits(e) == _bits(one.offdiag)
     assert _bits(T.dense()) == _bits(np.array([model.build_Tc(s).dense() for s in specs]))
-    # stacks over disorder draws, with and without the draw passed in
+    # stacks over disorder draws
     laws = [ModelSpec(m, 0.0, DisorderSpec(-1.0, 2.0, seed)) for seed in (1, 2, 3)]
-    omega = np.array([model.draw_disorder(s) for s in laws])
     for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, model.hc_spectrum):
         stack = fn(laws)
-        assert _bits(stack) == _bits(fn(laws, omega)), fn.__name__
-        for spec, w, one in zip(laws, omega, stack):
-            assert _bits(one) == _bits(fn(spec)) == _bits(fn(spec, w)), (fn.__name__, spec)
+        for spec, one in zip(laws, stack):
+            assert _bits(one) == _bits(fn(spec)), (fn.__name__, spec)
 
 
 def test_stacks_need_one_size():
