@@ -1,78 +1,8 @@
-"""Certified spectral gaps at zero for Hermitian block saddle matrices."""
+"""Certified spectral gaps at zero for Hermitian block saddle matrices.
 
-from .bounds import (
-    BlockSaddle,
-    CounterexampleReport,
-    GapCertificate,
-    Quartic4x4Params,
-    counterexample_suite,
-    diag_gap,
-    eig_4x4,
-    func_calc_AC,
-    hbinv_certificate,
-    inv_IplusAC_bound,
-    kirsch_certificate,
-    nonmono_curve,
-    stretch_certificate,
-    winklmeier_bound,
-    zero_dichotomy_certificate,
-)
-from .linalg import (
-    Bidiagonal,
-    EigenDecomposition,
-    bidiag_svd_hra,
-    null_space_basis,
-    op_norm,
-    psd_sqrt,
-    sym_eig,
-)
-from .matio import (
-    format_block_saddle,
-    format_matrix,
-    parse_block_saddle,
-    parse_matrix,
-    read_block_saddle,
-)
-from .model import (
-    DisorderReport,
-    DisorderSpec,
-    ModelSpec,
-    SecularRoots,
-    SpuriousEstimate,
-    StableGap,
-    build_Hc,
-    build_Htilde,
-    build_Kc,
-    build_Ktilde,
-    build_Tc,
-    build_Wc,
-    disorder_experiment,
-    gap_scan,
-    has_central_pair,
-    hc_spectrum,
-    lambda_of_alpha,
-    modified_spectrum_closed_form,
-    secular_eigenvalues,
-    secular_hc_spectrum,
-    secular_solve,
-    spurious_estimate,
-    stable_gap,
-    stable_gap_check,
-    stable_gap_pattern,
-    symbol_spectrum,
-)
-from .stokes import (
-    IntervalPair,
-    PencilSpectrum,
-    PerturbationSpec,
-    StokesMatrix,
-    axel_intervals,
-    minimal_intervals,
-    new_gap_estimate,
-    pencil_spectrum,
-    perturbation_bounds,
-    rayleigh_p,
-    ruwa_intervals,
-)
+Import names from their module: `gapcert.bounds`, `gapcert.stokes`,
+`gapcert.model`, `gapcert.linalg`, `gapcert.matio` and `gapcert.errors`;
+`gapcert.cli` is the command line.
+"""
 
 __version__ = "0.1.0"

@@ -14,6 +14,10 @@ benchmark loop, embedding code) pay for it once; a one-shot shell call
 builds it once as before.  The parser holds only static configuration:
 its defaults are immutable, and each `bounds` and `stokes` method still
 looks up its certificate function when the command runs.
+
+Each command returns its text (`model verify` with its exit code), and
+`main` writes it to stdout or `--output`.  `--format` is offered only
+where there is a choice of format.
 """
 
 from __future__ import annotations
@@ -157,7 +161,7 @@ def _certify(certs: dict, method: str, S: bounds.BlockSaddle, entry) -> dict:
     return entries
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> str:
     S = matio.read_block_saddle(args.file)
 
     def entry(name: str, cert: bounds.GapCertificate) -> dict:
@@ -169,8 +173,7 @@ def _cmd_bounds(args) -> int:
         payload = {"input": str(args.file), "oracle": _oracle(S.eigvals_H), "results": results}
     else:
         payload = dict(results[0], input=str(args.file))
-    _emit(_json(payload), args.output)
-    return 0
+    return _json(payload)
 
 
 def _pair_verdict(pair: stokes.IntervalPair, ps: stokes.PencilSpectrum, margin: float) -> str:
@@ -183,7 +186,7 @@ def _pair_verdict(pair: stokes.IntervalPair, ps: stokes.PencilSpectrum, margin: 
     return "SOUND" if ok else "UNSOUND"
 
 
-def _cmd_stokes(args) -> int:
+def _cmd_stokes(args) -> str:
     S = matio.read_block_saddle(args.file)
     if np.any(S.C != 0.0):
         raise ValueError("stokes command needs the C block to be zero")
@@ -191,8 +194,7 @@ def _cmd_stokes(args) -> int:
     if args.format == "csv":
         rows = [(i + 1, "minus", float(v)) for i, v in enumerate(ps.lambda_minus)]
         rows += [(i + 1, "plus", float(v)) for i, v in enumerate(ps.lambda_plus)]
-        _emit(_csv(["index", "branch", "value"], rows), args.output)
-        return 0
+        return _csv(["index", "branch", "value"], rows)
     evals = S.eigvals_H
 
     def entry(name: str, r) -> dict:
@@ -209,11 +211,10 @@ def _cmd_stokes(args) -> int:
             "zero_multiplicity": ps.zero_multiplicity,
         },
     }
-    _emit(_json(payload), args.output)
-    return 0
+    return _json(payload)
 
 
-def _cmd_secular(args) -> int:
+def _cmd_secular(args) -> str:
     sr = model.secular_solve(model.ModelSpec(args.m, args.c))
     alphas, lam = sr.trig_roots.tolist(), model.lambda_of_alpha(args.c, sr.trig_roots)
     hyp = None
@@ -228,8 +229,7 @@ def _cmd_secular(args) -> int:
         trig = lam if key == "lambda" else np.log10(lam)
         rows = [] if hyp is None else [(hyp["alpha"], hyp[key], "hyp")]
         rows += [(a, v, "trig") for a, v in zip(alphas, trig.tolist())]
-        _emit(_csv(["k", "alpha", key, "branch"], [(k, *row) for k, row in enumerate(rows, 1)]), args.output)
-        return 0
+        return _csv(["k", "alpha", key, "branch"], [(k, *row) for k, row in enumerate(rows, 1)])
     payload = {
         "m": args.m,
         "c": args.c,
@@ -237,34 +237,29 @@ def _cmd_secular(args) -> int:
         "trig": [{"alpha": a, "lambda": v} for a, v in zip(alphas, lam.tolist())],
         "hyp": hyp,
     }
-    _emit(_json(payload), args.output)
-    return 0
+    return _json(payload)
 
 
-def _cmd_spurious(args) -> int:
+def _cmd_spurious(args) -> str:
     est = model.spurious_estimate(model.ModelSpec(args.m, args.c))
-    payload = {
+    return _json({
         "m": args.m,
         "c": args.c,
         "alpha0": est.alpha0,
         "log10_lambda_est": est.log_lambda_est / LN10,
         "log10_sigma_est": est.log_sigma_est / LN10,
-    }
-    _emit(_json(payload), args.output)
-    return 0
+    })
 
 
-def _cmd_stable_gap(args) -> int:
-    _emit(_json(model.stable_gap_check(args.m, args.c)), args.output)
-    return 0
+def _cmd_stable_gap(args) -> str:
+    return _json(model.stable_gap_check(args.m, args.c))
 
 
-def _cmd_modified(args) -> int:
+def _cmd_modified(args) -> str:
     spec = model.ModelSpec(args.m, args.c)
     evals = np.linalg.eigvalsh(model.build_Htilde(spec))
     if args.format == "csv":
-        _emit(_csv(["index", "eigenvalue"], list(enumerate(evals, start=1))), args.output)
-        return 0
+        return _csv(["index", "eigenvalue"], list(enumerate(evals, start=1)))
     closed = model.modified_spectrum_closed_form(spec)
     radius = model.stable_gap(args.c).radius
     payload = {
@@ -281,14 +276,12 @@ def _cmd_modified(args) -> int:
         Kt = model.build_Ktilde(spec)
         eye = 4.0 * np.eye(2 * args.m)
         payload["k0_square_defect"] = float(np.max(np.abs(Kt @ Kt - eye)))
-    _emit(_json(payload), args.output)
-    return 0
+    return _json(payload)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> str:
     rows = model.gap_scan(args.M, args.delta, args.m, args.seed)
-    _emit(_csv(["M", "variant", "index", "eigenvalue"], rows), args.output)
-    return 0
+    return _csv(["M", "variant", "index", "eigenvalue"], rows)
 
 
 VERIFY_TOLS = {
@@ -350,11 +343,11 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
             if c > 0.0:
                 sr = next(solved)
                 lam = model.secular_eigenvalues(spec, sr)
-                note("secular_match", np.abs(lam - ww[i]))
+                note("secular_match", np.abs(lam - ww[i]) / scale[i] ** 2)
                 evals = model.secular_hc_spectrum(spec, sr)
-                # secular_match is absolute, so it cannot see an error in the
-                # tiny central pair; compare that pair with dqds, relative,
-                # wherever the dqds value is a normal float
+                # secular_match is relative to the largest eigenvalue, so it cannot see an
+                # error in the tiny central pair; compare that pair with dqds, relative to
+                # itself, wherever the dqds value is a normal float
                 if model.has_central_pair(m, c) and hs[i, m] >= np.finfo(float).tiny:
                     gap_ok = gap_ok and abs(evals[m] - hs[i, m]) <= 1e-11 * hs[i, m]
             else:
@@ -362,11 +355,11 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
             gap_ok = gap_ok and model.stable_gap_pattern(m, c, evals)["ok"]
             radius = model.stable_gap(c).radius
             if radius > 0.0:
-                gap_ok = gap_ok and float(np.min(np.abs(wt[i]))) >= radius - 1e-9
+                gap_ok = gap_ok and float(np.min(np.abs(wt[i]))) >= radius - 1e-9 * scale[i]
             _, (_, band) = model.symbol_spectrum(c)
             body = np.sort(np.abs(wh[i]))[2:] if c < 1.0 else np.abs(wh[i])
             viol = np.maximum(band[0] - body, body - band[1]).max(initial=0.0)
-            note("symbol_containment", max(viol, 0.0))
+            note("symbol_containment", max(viol, 0.0) / scale[i])
 
     results = [
         (name, worst[name] <= tol, f"max defect {worst[name]:.3e}, tol {tol:g}")
@@ -376,19 +369,18 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
     return results
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     results = _model_verify(args.m, args.c)
     lines = [f"{'PASS' if ok else 'FAIL'} {name} ({detail})" for name, ok, detail in results]
-    _emit("\n".join(lines), args.output)
-    return 0 if all(ok for _, ok, _ in results) else 1
+    return "\n".join(lines), 0 if all(ok for _, ok, _ in results) else 1
 
 
-def _cmd_counterexamples(args) -> int:
+def _cmd_counterexamples(args) -> str:
     rep = bounds.counterexample_suite()
     families = ["kirsch_Bt", "scaled_A", "simple"]
     curves = {fam: bounds.nonmono_curve(args.t_range, fam) for fam in families}
     if args.format == "json":
-        payload = {
+        return _json({
             "omladic": [
                 {"t": t, "inverse_norm": v, "closed_form": w} for t, v, w in rep.omladic
             ],
@@ -405,9 +397,7 @@ def _cmd_counterexamples(args) -> int:
                 ]
                 for fam in families
             },
-        }
-        _emit(_json(payload), args.output)
-        return 0
+        })
     lines = ["# omladic inverse norm growth"]
     lines += [
         f"# t={_fmt(t)} inverse_norm={_fmt(v)} closed_form={_fmt(w)}" for t, v, w in rep.omladic
@@ -421,9 +411,7 @@ def _cmd_counterexamples(args) -> int:
     verdict = "VIOLATED" if rep.conjecture_violated else "HOLDS"
     lines.append(f"# conjecture norm((I+AC)^-1) <= norm(I+AC): {verdict}")
     rows = [(fam, float(t), float(v)) for fam in families for t, v in curves[fam]]
-    text = "\n".join(lines) + "\n" + _csv(["family", "t", "min_abs_eigenvalue"], rows)
-    _emit(text, args.output)
-    return 0
+    return "\n".join(lines) + "\n" + _csv(["family", "t", "min_abs_eigenvalue"], rows)
 
 
 @functools.cache
@@ -437,7 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="gap certificates for a block saddle file")
     b.add_argument("file", help="block saddle input file")
     b.add_argument("--method", choices=[*BOUND_CERTS, "all"], default="all")
-    b.add_argument("--format", choices=["json"], default="json")
     b.add_argument("--output", default=None, help="output path (default stdout)")
     b.set_defaults(func=_cmd_bounds)
 
@@ -451,28 +438,29 @@ def _build_parser() -> argparse.ArgumentParser:
     mdl = sub.add_parser("model", help="finite chain model commands")
     msub = mdl.add_subparsers(dest="subcommand", required=True)
 
-    def model_sub(name, func, fmt_choices, fmt_default, need_mc=True):
+    def model_sub(name, func, formats=(), need_mc=True):
         q = msub.add_parser(name)
         if need_mc:
             q.add_argument("-m", type=int, required=True, help="half dimension")
             q.add_argument("-c", type=float, required=True, help="mass parameter")
-        q.add_argument("--format", choices=fmt_choices, default=fmt_default)
+        if formats:
+            q.add_argument("--format", choices=formats, default=formats[0])
         q.add_argument("--output", default=None)
         q.set_defaults(func=func)
         return q
 
-    model_sub("secular", _cmd_secular, ["csv", "json"], "csv")
-    model_sub("spurious", _cmd_spurious, ["json"], "json")
-    model_sub("stable-gap", _cmd_stable_gap, ["json"], "json")
-    model_sub("modified", _cmd_modified, ["csv", "json"], "csv")
+    model_sub("secular", _cmd_secular, ["csv", "json"])
+    model_sub("spurious", _cmd_spurious)
+    model_sub("stable-gap", _cmd_stable_gap)
+    model_sub("modified", _cmd_modified, ["csv", "json"])
 
-    sc = model_sub("scan", _cmd_scan, ["csv"], "csv", need_mc=False)
+    sc = model_sub("scan", _cmd_scan, need_mc=False)
     sc.add_argument("-m", type=int, required=True, help="half dimension")
     sc.add_argument("--M", type=_float_list, required=True, help="comma list of disorder means")
     sc.add_argument("--delta", type=float, required=True, help="disorder half width")
     sc.add_argument("--seed", type=int, default=0)
 
-    vf = model_sub("verify", _cmd_verify, ["text"], "text", need_mc=False)
+    vf = model_sub("verify", _cmd_verify, need_mc=False)
     vf.add_argument("-m", type=_int_list, default=(2, 3, 5, 10), help="comma list of sizes")
     vf.add_argument(
         "-c", type=_float_list, default=(0.0, 0.5, 1.0, 1.5, 2.0), help="comma list of masses"
@@ -493,7 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return int(args.func(args) or 0)
+        out = args.func(args)
+        text, code = (out, 0) if isinstance(out, str) else out
+        _emit(text, args.output)
+        return code
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -120,7 +120,11 @@ def parse_block_saddle(text: str) -> BlockSaddle:
 
 def read_block_saddle(path) -> BlockSaddle:
     with open(path, encoding="utf-8") as f:
-        return parse_block_saddle(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_block_saddle(text)
 
 
 def format_block_saddle(H: BlockSaddle) -> str:

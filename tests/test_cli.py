@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,63 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     code, out, _ = run(capsys, "bounds", f, "--method", "diag")
     assert dest.read_text() == out
+
+
+def test_non_utf8_block_file_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"A\n1 1\n\xff\n")
+    for command in ("bounds", "stokes"):
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def test_removed_options_and_names(tmp_path, capsys):
+    # --format is offered only where there is a choice of format
+    f = write_block(tmp_path / "d.txt", [[2.0]], [[1.0]], [[1.0]])
+    for argv in (
+        ["bounds", f, "--format", "json"],
+        ["model", "spurious", "-m", "5", "-c", "0.5", "--format", "json"],
+        ["model", "stable-gap", "-m", "5", "-c", "0.5", "--format", "json"],
+        ["model", "scan", "-m", "5", "--M", "0,2", "--delta", "0.5", "--format", "csv"],
+        ["model", "verify", "--format", "text"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+    # names are imported from their module, not from the package
+    assert not hasattr(gapcert, "BlockSaddle")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stokes", "STOKES"],
+        ["stokes", "STOKES", "--format", "csv"],
+        ["model", "secular", "-m", "4", "-c", "0.5"],
+        ["model", "spurious", "-m", "5", "-c", "0.5"],
+        ["model", "stable-gap", "-m", "10", "-c", "2"],
+        ["model", "modified", "-m", "4", "-c", "0", "--format", "json"],
+        ["model", "scan", "-m", "10", "--M", "0,2", "--delta", "0.5"],
+        ["model", "verify", "-m", "2,3", "-c", "0,0.5"],
+        ["counterexamples", "--t-range", "5:20:11"],
+    ],
+)
+def test_output_flag_writes_what_stdout_would(tmp_path, capsys, argv):
+    stokes_file = write_block(tmp_path / "st.txt", [[2.0, -1.0], [-1.0, 2.0]], np.eye(2))
+    argv = [stokes_file if a == "STOKES" else a for a in argv]
+    dest = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--output", str(dest))
+    assert code == 0 and out == "" and err == ""
+    assert run(capsys, *argv) == (code, dest.read_text(), "")
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [line[2:] for line in readme.read_text().splitlines() if line.startswith("$ gapcert ")]
+    assert len(examples) >= 4
+    for line in examples:
+        args = cli._build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def test_stokes_scalar_json(tmp_path, capsys):
@@ -341,6 +399,15 @@ def test_repeat_runs_identical(tmp_path, capsys):
         outs.add(run(capsys, "model", "scan", "-m", "10", "--M", "0,2", "--delta", "0.5")[1])
         outs.add(run(capsys, "counterexamples", "--t-range", "5:20:11")[1])
     assert len(outs) == 3
+
+
+@pytest.mark.parametrize("c", ["1e5", "1e20", "6.6e153"])
+def test_model_verify_passes_at_large_mass(capsys, c):
+    # the secular, symbol and H-tilde clearance checks are relative to the
+    # spectrum's scale, which grows like c
+    code, out, _ = run(capsys, "model", "verify", "-m", "3", "-c", c)
+    assert code == 0, out
+    assert out.count("PASS") == 10
 
 
 def test_model_verify_grid_without_central_pair(capsys):
