@@ -6,7 +6,9 @@ float range.  `model verify` additionally exits 1 when an invariant
 check fails.  All output is deterministic at
 a fixed BLAS thread count: identical arguments then produce
 byte-identical bytes.  A different thread count can change the
-trailing digits of dense eigenvalues.
+trailing digits of dense eigenvalues.  `model modified` computes none:
+it prints a closed form proved by a Sturm count, so its output does not
+depend on the thread count.
 
 `main` builds its parser once per process, on the first call, and
 reuses it for every later call, so in-process callers (a test suite, a
@@ -257,7 +259,7 @@ def _cmd_stable_gap(args) -> str:
 
 def _cmd_modified(args) -> str:
     spec = model.ModelSpec(args.m, args.c)
-    evals = np.linalg.eigvalsh(model.build_Htilde(spec))
+    evals, certified_radius = model.modified_spectrum_certified(spec)
     if args.format == "csv":
         return _csv(["index", "eigenvalue"], list(enumerate(evals, start=1)))
     closed = model.modified_spectrum_closed_form(spec)
@@ -266,6 +268,7 @@ def _cmd_modified(args) -> str:
         "m": args.m,
         "c": args.c,
         "eigenvalues": [float(v) for v in evals],
+        "certified_radius": certified_radius,
         "symmetry_defect": float(np.max(np.abs(evals + evals[::-1]))),
         "closed_form_squares": [float(v) for v in closed],
         "square_defect": float(np.max(np.abs(np.sort(evals**2) - closed))),
@@ -273,9 +276,7 @@ def _cmd_modified(args) -> str:
         "inside_gap_count": int(np.count_nonzero(np.abs(evals) < radius)),
     }
     if args.c == 0.0:
-        Kt = model.build_Ktilde(spec)
-        eye = 4.0 * np.eye(2 * args.m)
-        payload["k0_square_defect"] = float(np.max(np.abs(Kt @ Kt - eye)))
+        payload["k0_square_defect"] = model.k0_square_defect(args.m)
     return _json(payload)
 
 

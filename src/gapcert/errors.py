@@ -75,4 +75,4 @@ class OutOfRegime(ValueError):
 
 
 class RootCountMismatch(RuntimeError):
-    """Secular root sweep did not locate the expected number of roots."""
+    """A root or eigenvalue count did not match."""

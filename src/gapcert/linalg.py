@@ -14,6 +14,7 @@ import numpy as np
 from .errors import NotFinite, NotPSD, NotSymmetric, UnboundedRelativeBound
 
 EPS = float(np.finfo(np.float64).eps)
+TINY = float(np.finfo(np.float64).tiny)
 
 
 class EigenDecomposition(NamedTuple):
@@ -152,6 +153,65 @@ def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
     if d.size == 0:
         return np.zeros(d.shape)
     return np.linalg.svd(T.dense().swapaxes(-1, -2), compute_uv=False)
+
+
+def sturm_count(diag, offdiag, shifts) -> np.ndarray:
+    """Number of eigenvalues below each shift x of the symmetric tridiagonal T = (diag, offdiag).
+
+    Every shift is a lane of one recurrence, the pivots of the LDL^T
+    factorization of T - x: q_1 = a_1 - x, q_i = (a_i - x) - e_{i-1}^2 / q_{i-1}.
+    By Sylvester's law of inertia the number of negative pivots is the
+    number of eigenvalues below x.  A pivot with |q| < pivmin = tiny *
+    max(1, max e^2) is replaced by -pivmin, as LAPACK's dstebz does, so
+    no step divides by zero or overflows.  O(n) steps on all shifts at once.
+
+    A computed count is the exact count of T + E for a symmetric
+    tridiagonal E that depends on the shift (Kahan 1966; Demmel, Dhillon
+    & Ren, ETNA 1995), with ||E||_2 <= sturm_error_bound(offdiag): the
+    roundings perturb each e_i by at most 3 eps relative, a replaced
+    pivot or an underflowed quotient moves a diagonal entry by at most
+    3 pivmin, and an underflow in e_i^2 moves e_i by at most sqrt(tiny).
+    The bound assumes no a_i - x overflows.
+    """
+    a = require_finite(diag, "diag")
+    e = require_finite(offdiag, "offdiag")
+    x = require_finite(shifts, "shifts")
+    if a.ndim != 1 or e.shape != (max(a.size - 1, 0),):
+        raise ValueError("a tridiagonal needs a diagonal of n entries and an off-diagonal of n - 1")
+    with np.errstate(over="ignore"):
+        e2 = e * e
+    if not np.isfinite(e2).all():
+        raise OverflowError("a squared off-diagonal entry overflows the float range")
+    pivmin = TINY * max(1.0, float(np.max(e2, initial=0.0)))
+    neg = np.empty((a.size,) + x.shape, dtype=bool)
+    q, t = np.empty_like(x), np.empty_like(x)
+    small = np.empty(x.shape, dtype=bool)
+    # a_i - x can overflow for huge entries; its infinity keeps the pivot's sign
+    with np.errstate(over="ignore"):
+        for i in range(a.size):
+            if i:
+                np.divide(e2[i - 1], q, out=t)
+                np.subtract(a[i], x, out=q)
+                q -= t
+            else:
+                np.subtract(a[0], x, out=q)
+            np.abs(q, out=t)
+            np.less(t, pivmin, out=small)
+            np.copyto(q, -pivmin, where=small)
+            np.less(q, 0.0, out=neg[i])
+    return np.count_nonzero(neg, axis=0)
+
+
+def sturm_error_bound(offdiag) -> float:
+    """A priori bound on ||E||_2 of sturm_count's backward error for these off-diagonals.
+
+    6 eps max|e| (each e_i moved by 3 eps relative, and a tridiagonal with
+    zero diagonal has norm at most twice its largest entry) + 3 pivmin (a
+    replaced pivot or an underflowed quotient) + 2 sqrt(tiny) (underflow
+    in e_i^2).
+    """
+    emax = float(np.max(np.abs(require_finite(offdiag, "offdiag")), initial=0.0))
+    return 6.0 * EPS * emax + 3.0 * TINY * max(1.0, emax * emax) + 2.0 * np.sqrt(TINY)
 
 
 def null_space_basis(M: np.ndarray) -> np.ndarray:

@@ -14,11 +14,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfRegime, RootCountMismatch
-from .linalg import Bidiagonal, bidiag_svd_hra
+from .linalg import EPS, Bidiagonal, bidiag_svd_hra, sturm_count, sturm_error_bound
 
 TWO53 = float(1 << 53)
 
@@ -32,6 +33,8 @@ class DisorderSpec:
     seed: int
 
     def __post_init__(self):
+        if not np.isfinite(float(self.high) - float(self.low)):
+            raise ValueError(f"disorder range [{self.low}, {self.high}] must have finite ends and width")
         if not self.high >= self.low:
             raise ValueError(f"empty disorder range [{self.low}, {self.high}]")
 
@@ -618,6 +621,92 @@ def modified_spectrum_closed_form(spec: ModelSpec | Sequence[ModelSpec]) -> np.n
     k = np.arange(1, m + 1)
     kappa = -2.0 * np.cos((2 * k - 1) * np.pi / (2 * m))
     return _one(np.sort(np.repeat(4.0 + 4.0 * _c_squared(c) - 4.0 * c * kappa, 2, axis=1), axis=1), single)
+
+
+def ktilde_bands(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """K_tilde as a symmetric tridiagonal (diagonal, off-diagonal), built in O(m).
+
+    The perfect shuffle (t_1, b_1, t_2, b_2, ...) of build_Ktilde's two
+    halves puts X_ii = d_i between t_i and b_i and X_{i+1,i} = 2 between
+    b_i and t_{i+1}, with d = spec.diagonal: the diagonal is (2, 0, ...,
+    0, -2) and the off-diagonal (d_1, 2, d_2, 2, ..., d_m).  The shuffle is
+    a permutation and K_tilde = U H_tilde U, so this is an orthogonal
+    similarity of the matrix build_Htilde assembles, entry for entry.
+    """
+    m = spec.m
+    diag = np.zeros(2 * m)
+    diag[0], diag[-1] = 2.0, -2.0
+    off = np.full(2 * m - 1, 2.0)
+    off[0::2] = spec.diagonal
+    return diag, off
+
+
+def k0_square_defect(m: int) -> float:
+    """max |K_tilde^2 - 4I| at c = 0, from the tridiagonal bands of ktilde_bands.
+
+    For a tridiagonal T with diagonal a and off-diagonal e, T^2 has the
+    bands (T^2)_ii = a_i^2 + e_{i-1}^2 + e_i^2, (T^2)_{i,i+1} = e_i (a_i +
+    a_{i+1}) and (T^2)_{i,i+2} = e_i e_{i+1}; the shuffle leaves the largest
+    entry unchanged.  At c = 0 every entry is a small integer, so a correct
+    K_tilde gives exactly 0.
+    """
+    a, e = ktilde_bands(ModelSpec(m, 0.0))
+    e2 = np.concatenate(([0.0], e * e, [0.0]))
+    bands = (a * a + e2[:-1] + e2[1:] - 4.0, e * (a[:-1] + a[1:]), e[:-1] * e[1:])
+    return float(max(np.max(np.abs(b)) for b in bands))
+
+
+class CertifiedSpectrum(NamedTuple):
+    """Eigenvalues, ascending, each within certified_radius of its counterpart in sigma(H_tilde)."""
+
+    values: np.ndarray
+    certified_radius: float
+
+
+def modified_spectrum_certified(spec: ModelSpec) -> CertifiedSpectrum:
+    """sigma(H_tilde) from the closed form, proved by one Sturm count of ktilde_bands.
+
+    The values are +-2 sqrt(lambda_k), lambda_k = lambda_of_alpha(c,
+    (2k - 1) pi / (2m)), the square roots of modified_spectrum_closed_form
+    in a form that does not cancel.  With G the Gershgorin bound of the
+    bands and delta = 64 eps G, values whose intervals [v - delta, v +
+    delta] overlap form a cluster, and one sturm_count call counts the
+    eigenvalues below each cluster's two ends.  Each count must equal the
+    number of values below that end.  Then the j-th value, ascending, and
+    the j-th eigenvalue of the floating-point H_tilde lie in one cluster
+    widened by delta + beta, beta = sturm_error_bound of the bands (the
+    count's a priori backward error), so they differ by at most
+
+        certified_radius = spread + delta + beta + eps G,
+
+    where spread is the widest cluster's extent (0 when every cluster holds
+    one value or equal values, as at c = 0) and eps G covers the rounding
+    of the shifts.  No matrix is formed and no LAPACK routine runs: O(m)
+    memory and O(m^2) flops in O(m) array steps.  A count that disagrees
+    raises RootCountMismatch: the closed form is a theorem, so that is a bug.
+    """
+    cs, m, _ = _masses(spec, "the closed form")
+    _c_squared(cs)  # the largest squared off-diagonal of the bands is 4 c^2
+    c = spec.c
+    s = np.sort(2.0 * np.sqrt(lambda_of_alpha(c, (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m))))
+    values = np.concatenate((-s[::-1], s))
+    a, e = ktilde_bands(spec)
+    ae = np.abs(e)
+    gersh = float(np.max(np.abs(a) + np.concatenate(([0.0], ae)) + np.concatenate((ae, [0.0]))))
+    delta = 64.0 * EPS * gersh
+    first = np.flatnonzero(np.concatenate(([True], np.diff(values) > 2.0 * delta)))
+    stop = np.append(first[1:], values.size)
+    counts = sturm_count(a, e, np.concatenate((values[first] - delta, values[stop - 1] + delta)))
+    want = np.concatenate((first, stop))
+    if not np.array_equal(counts, want):
+        j = int(np.flatnonzero(counts != want)[0])
+        end = "upper" if j >= first.size else "lower"
+        raise RootCountMismatch(
+            f"Sturm count of H_tilde (m={m}, c={c}) at the {end} end of cluster"
+            f" {j % first.size + 1} of {first.size}: {counts[j]} eigenvalues below, expected {want[j]}"
+        )
+    spread = float(np.max(values[stop - 1] - values[first]))
+    return CertifiedSpectrum(values, spread + delta + sturm_error_bound(e) + EPS * gersh)
 
 
 def symbol_spectrum(c: float) -> tuple[tuple[float, float], tuple[tuple[float, float], tuple[float, float]]]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gapcert
-from gapcert import bounds, cli, matio
+from gapcert import bounds, cli, matio, model
 from gapcert.cli import main
 
 from helpers import count_factorizations, rand_pd
@@ -301,6 +301,56 @@ def test_model_modified(capsys):
     assert "k0_square_defect" not in payload
 
 
+def test_model_modified_certified_payload(capsys):
+    m, c = 30, 0.7
+    code, out, _ = run(capsys, "model", "modified", "-m", str(m), "-c", str(c), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {
+        "m", "c", "eigenvalues", "certified_radius", "symmetry_defect", "closed_form_squares",
+        "square_defect", "gap_radius", "inside_gap_count",
+    }
+    assert payload["symmetry_defect"] == 0.0
+    evals = np.array(payload["eigenvalues"])
+    dense = np.linalg.eigvalsh(model.build_Htilde(model.ModelSpec(m, c)))
+    norm = float(np.max(np.abs(dense)))
+    assert np.max(np.abs(evals - dense)) <= payload["certified_radius"] + 2 * m * np.finfo(float).eps * norm
+    code, csv_out, _ = run(capsys, "model", "modified", "-m", str(m), "-c", str(c))
+    assert [float(line.split(",")[1]) for line in csv_out.splitlines()[1:]] == payload["eigenvalues"]
+
+
+def _no_dense_factorization(*args, **kwargs):
+    raise AssertionError("model modified called a dense factorization")
+
+
+def test_model_modified_makes_no_dense_factorization(capsys, monkeypatch):
+    # the O(m) route: a closed form and one Sturm count, no 2m x 2m matrix and no LAPACK call
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, _no_dense_factorization)
+    for argv in (["-c", "0.7"], ["-c", "0.7", "--format", "json"], ["-c", "0", "--format", "json"]):
+        code, out, err = run(capsys, "model", "modified", "-m", "50", *argv)
+        assert code == 0 and err == "", argv
+    assert json.loads(out)["k0_square_defect"] == 0.0
+
+
+def test_model_modified_count_mismatch_exits_3(capsys, monkeypatch):
+    m, c = 50, 0.7
+    # delta = 64 eps G, with G = 2 + 2c the Gershgorin bound of K_tilde's bands
+    delta = 64.0 * np.finfo(float).eps * (2.0 + 2.0 * c)
+    lam = model.lambda_of_alpha
+
+    def one_value_off(c, alpha):
+        out = lam(c, alpha)
+        out[10] = (np.sqrt(out[10]) + 5.0 * delta) ** 2  # moves 2 sqrt(lambda) by 10 delta
+        return out
+
+    monkeypatch.setattr(model, "lambda_of_alpha", one_value_off)
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "model", "modified", "-m", str(m), "-c", str(c), "--format", fmt)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_model_scan_row_count(capsys):
     code, out, _ = run(
         capsys,
@@ -453,6 +503,25 @@ def run_child(source: str):
     proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, check=False, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scan_rejects_non_finite_disorder_range():
+    # a fresh interpreter prints warnings as text on stderr, which pytest would turn into errors
+    child = (
+        "import contextlib, io, json\n"
+        "from gapcert.cli import main\n"
+        "out = []\n"
+        "for M, delta in (('0', 'inf'), ('inf', '0'), ('1e308', '1e308')):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = main(['model', 'scan', '-m', '10', '--M', M, '--delta', delta])\n"
+        "    out.append([code, err.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    for code, err in run_child(child):
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: disorder range [")
+        assert "Warning" not in err
 
 
 def test_runtime_loads_no_scipy():

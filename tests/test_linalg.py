@@ -130,3 +130,54 @@ def test_null_space_basis():
     assert Z.shape == (4, 4)
     full = linalg.null_space_basis(np.eye(3))
     assert full.shape == (3, 0)
+
+
+def _tridiagonal(a, e):
+    return np.diag(a) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _clear_shifts(rng, w, norm, count):
+    # shifts more than 1e-8 ||T|| from every eigenvalue w
+    x = rng.uniform(w[0] - 0.25 * norm, w[-1] + 0.25 * norm, 4 * count)
+    return x[np.min(np.abs(x[:, None] - w[None, :]), axis=1) > 1e-8 * norm][:count]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+def test_sturm_count_matches_dense_counts(scale):
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(1, 61))
+        a, e = scale * rng.standard_normal(n), scale * rng.standard_normal(n - 1)
+        if trial % 3 == 0:
+            # a split matrix: some off-diagonals, or all of them, exactly zero
+            e[rng.random(n - 1) < (1.0 if trial % 2 else 0.5)] = 0.0
+        w = np.linalg.eigvalsh(_tridiagonal(a, e))
+        norm = max(float(np.max(np.abs(w))), scale)
+        x = _clear_shifts(rng, w, norm, 40)
+        assert np.array_equal(linalg.sturm_count(a, e, x), np.searchsorted(w, x)), (scale, n)
+
+
+def test_sturm_count_zero_pivot():
+    # a shift exactly on an eigenvalue (or on one of a leading block) makes
+    # a pivot exactly zero; it counts as -pivmin, with no warning
+    assert linalg.sturm_count([0.0, 0.0], [1.0], [0.0]) == 1
+    assert linalg.sturm_count([1.0, 2.0, 3.0], [0.0, 0.0], [2.0]) in (1, 2)
+    # the leading 2x2 block is singular at 0 while T is not: the count is exact
+    a, e = np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0])
+    w = np.linalg.eigvalsh(_tridiagonal(a, e))
+    assert linalg.sturm_count(a, e, [0.0]) == np.searchsorted(w, 0.0)
+    lo = linalg.sturm_count(a, e, w - 1e-9)
+    hi = linalg.sturm_count(a, e, w + 1e-9)
+    assert np.array_equal(lo, [0, 1, 2]) and np.array_equal(hi, [1, 2, 3])
+    # every shift on the eigenvalue 2 of a split diagonal
+    assert np.array_equal(linalg.sturm_count(np.full(4, 2.0), np.zeros(3), [2.0, 2.0]), [4, 4])
+
+
+def test_sturm_count_input_checks():
+    with pytest.raises(ValueError):
+        linalg.sturm_count([1.0, 2.0], [1.0, 1.0], [0.0])
+    with pytest.raises(NotFinite):
+        linalg.sturm_count([1.0, np.nan], [1.0], [0.0])
+    with pytest.raises(OverflowError):
+        linalg.sturm_count([1.0, 2.0], [1e200], [0.0])
+    assert linalg.sturm_error_bound([1.0, -4.0]) < 1e-14

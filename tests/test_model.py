@@ -651,6 +651,85 @@ def test_modified_spectrum_closed_form():
         assert np.min(np.abs(wt)) >= model.stable_gap(c).radius - 1e-12
 
 
+def _shuffle(m):
+    # the perfect shuffle (t_1, b_1, t_2, b_2, ...) of the two halves
+    return np.ravel(np.column_stack((np.arange(m), m + np.arange(m))))
+
+
+def test_ktilde_bands_are_the_shuffled_matrix():
+    for spec in (ModelSpec(2, 0.0), ModelSpec(5, 1.3), ModelSpec(7, 0.0, DisorderSpec(-1.5, 2.5, 11))):
+        a, e = model.ktilde_bands(spec)
+        P = _shuffle(spec.m)
+        T = np.diag(a) + np.diag(e, 1) + np.diag(e, -1)
+        assert np.array_equal(model.build_Ktilde(spec)[np.ix_(P, P)], T), spec
+
+
+def test_k0_square_defect_from_bands(monkeypatch):
+    for m in (2, 3, 10, 900):
+        assert model.k0_square_defect(m) == 0.0
+    # off c = 0 the band formula still gives max |K_tilde^2 - 4I| of the dense product
+    bands = model.ktilde_bands
+    monkeypatch.setattr(model, "ktilde_bands", lambda spec: bands(ModelSpec(spec.m, 0.7)))
+    for m in (2, 3, 9):
+        Kt = model.build_Ktilde(ModelSpec(m, 0.7))
+        dense = float(np.max(np.abs(Kt @ Kt - 4.0 * np.eye(2 * m))))
+        assert model.k0_square_defect(m) == pytest.approx(dense, rel=1e-15)
+
+
+CERT_MASSES = (0.0, 1e-12, 1e-3, 0.5, 1.0 - 1e-12, 1.0, 1.5, 1e3, 1e150)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 50, 300])
+def test_certified_modified_spectrum_encloses_dense(m):
+    eps = np.finfo(float).eps
+    specs = [ModelSpec(m, c) for c in CERT_MASSES]
+    for spec, wt in zip(specs, np.linalg.eigvalsh(model.build_Htilde(specs))):
+        cert = model.modified_spectrum_certified(spec)
+        norm = float(np.max(np.abs(wt)))
+        # the certified radius plus dense eigvalsh's own backward error
+        assert np.max(np.abs(cert.values - wt)) <= cert.certified_radius + 2 * m * eps * norm, spec
+        assert cert.certified_radius <= 1e-11 * norm
+        assert np.array_equal(cert.values, -cert.values[::-1])
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 50])
+def test_certified_modified_spectrum_matches_mpmath(m):
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with mp.workdps(50):
+        for c in CERT_MASSES:
+            values = model.modified_spectrum_certified(ModelSpec(m, c)).values
+            cm = mp.mpf(c)
+            # the squares 4 + 4c^2 - 4c kappa_k, kappa_k = -2 cos((2k - 1) pi / (2m))
+            squares = [4 + 4 * cm**2 + 8 * cm * mp.cos((2 * k - 1) * mp.pi / (2 * m)) for k in range(1, m + 1)]
+            s = sorted(mp.sqrt(q) for q in squares)
+            ref = [-v for v in reversed(s)] + s
+            norm = max(abs(v) for v in ref)
+            assert all(abs(mp.mpf(float(v)) - r) <= 2 * eps * norm for v, r in zip(values, ref)), (m, c)
+
+
+def test_certified_modified_spectrum_count_mismatch(monkeypatch):
+    spec = ModelSpec(20, 0.7)
+    cert = model.modified_spectrum_certified(spec)
+    assert cert.certified_radius < 1e-13
+    lam = model.lambda_of_alpha
+    # one value 1e-11 off: far outside its interval [v - delta, v + delta]
+    monkeypatch.setattr(model, "lambda_of_alpha", lambda c, al: lam(c, al) + (np.arange(al.size) == 5) * 1e-11)
+    with pytest.raises(RootCountMismatch):
+        model.modified_spectrum_certified(spec)
+    with pytest.raises(ValueError):
+        model.modified_spectrum_certified(ModelSpec(4, 0.0, DisorderSpec(-1.0, 1.0, 0)))
+    with pytest.raises(OverflowError):
+        model.modified_spectrum_certified(ModelSpec(3, 1e200))
+
+
+def test_disorder_range_must_be_finite():
+    huge = np.float64(1e308)
+    for low, high in ((-np.inf, np.inf), (np.inf, np.inf), (0.0, 2e308), (-1e308, 1e308), (-huge, huge)):
+        with pytest.raises(ValueError, match=r"disorder range \["):
+            DisorderSpec(low, high, 0)
+
+
 def test_symbol_spectrum():
     w_band, (h_neg, h_pos) = model.symbol_spectrum(0.5)
     assert w_band == (0.25, 2.25)
