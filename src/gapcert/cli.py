@@ -263,7 +263,7 @@ def _cmd_modified(args) -> str:
     if args.format == "csv":
         return _csv(["index", "eigenvalue"], list(enumerate(evals, start=1)))
     closed = model.modified_spectrum_closed_form(spec)
-    radius = model.stable_gap(args.c).radius
+    radius = model.stable_gap(args.c)
     payload = {
         "m": args.m,
         "c": args.c,
@@ -354,7 +354,7 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
             else:
                 evals = hs[i]
             gap_ok = gap_ok and model.stable_gap_pattern(m, c, evals)["ok"]
-            radius = model.stable_gap(c).radius
+            radius = model.stable_gap(c)
             if radius > 0.0:
                 gap_ok = gap_ok and float(np.min(np.abs(wt[i]))) >= radius - 1e-9 * scale[i]
             _, (_, band) = model.symbol_spectrum(c)

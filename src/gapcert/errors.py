@@ -26,11 +26,7 @@ class NotDefinite(ValueError):
     """Block that must be positive definite is singular or indefinite."""
 
 
-class Singular(ValueError):
-    """Matrix is singular to working precision."""
-
-
-class BNotInvertible(Singular):
+class BNotInvertible(ValueError):
     """Off-diagonal block is not square, so it cannot be inverted."""
 
 
@@ -42,7 +38,7 @@ class DimensionMismatch(ValueError):
     """Null spaces of the two diagonal blocks have different dimensions."""
 
 
-class B22Singular(Singular):
+class B22Singular(ValueError):
     """Restriction of B between the null spaces of A and C is singular."""
 
 

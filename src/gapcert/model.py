@@ -89,11 +89,6 @@ class SpuriousEstimate:
     log_sigma_est: float
 
 
-@dataclass(frozen=True)
-class StableGap:
-    radius: float
-
-
 def _uniform(rng: np.random.Generator, low: float, high: float, size: int) -> np.ndarray:
     # 53-bit mantissa scaling keeps the draw identical across platforms
     u = rng.integers(0, 1 << 53, size=size, dtype=np.int64) / TWO53
@@ -537,11 +532,11 @@ def spurious_estimate(spec: ModelSpec) -> SpuriousEstimate:
     return SpuriousEstimate(_alpha0(c), log_lambda, log_lambda / 2.0)
 
 
-def stable_gap(c: float) -> StableGap:
+def stable_gap(c: float) -> float:
     """The dimension-independent gap radius 2|c - 1| of the model family."""
     if not c >= 0.0:
         raise ValueError(f"c must be nonnegative, got {c}")
-    return StableGap(2.0 * abs(c - 1.0))
+    return 2.0 * abs(c - 1.0)
 
 
 def stable_gap_check(m: int, c: float) -> dict:
@@ -566,7 +561,7 @@ def stable_gap_pattern(m: int, c: float, evals: np.ndarray) -> dict:
     enough in the asymptotic regime (2 m alpha0 >= 10), within a percent
     of twice the estimated singular value.
     """
-    radius = stable_gap(c).radius
+    radius = stable_gap(c)
     inside = evals[np.abs(evals) < radius] if radius > 0.0 else evals[:0]
     pair = has_central_pair(m, c)
     expected = 2 if pair else 0
@@ -616,11 +611,15 @@ def build_Ktilde(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
 
 
 def modified_spectrum_closed_form(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
-    """Eigenvalues of H_tilde^2: 4 + 4c^2 - 4c kappa_k, each twice, ascending; stacks as build_Hc."""
+    """Eigenvalues of H_tilde^2, each twice, ascending; stacks as build_Hc.
+
+    They are 4 lambda_of_alpha(c, (2k - 1) pi / (2m)) for k = 1..m.
+    """
     c, m, single = _masses(spec, "the closed form")
-    k = np.arange(1, m + 1)
-    kappa = -2.0 * np.cos((2 * k - 1) * np.pi / (2 * m))
-    return _one(np.sort(np.repeat(4.0 + 4.0 * _c_squared(c) - 4.0 * c * kappa, 2, axis=1), axis=1), single)
+    _c_squared(c)  # the largest square is about 4 c^2, which must stay finite
+    alpha = (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)
+    lam = np.array([lambda_of_alpha(ci, alpha) for ci in c[:, 0]])
+    return _one(np.sort(np.repeat(4.0 * lam, 2, axis=1), axis=1), single)
 
 
 def ktilde_bands(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -666,9 +665,8 @@ class CertifiedSpectrum(NamedTuple):
 def modified_spectrum_certified(spec: ModelSpec) -> CertifiedSpectrum:
     """sigma(H_tilde) from the closed form, proved by one Sturm count of ktilde_bands.
 
-    The values are +-2 sqrt(lambda_k), lambda_k = lambda_of_alpha(c,
-    (2k - 1) pi / (2m)), the square roots of modified_spectrum_closed_form
-    in a form that does not cancel.  With G the Gershgorin bound of the
+    The values are +-2 sqrt(lambda_k), the square roots of
+    modified_spectrum_closed_form.  With G the Gershgorin bound of the
     bands and delta = 64 eps G, values whose intervals [v - delta, v +
     delta] overlap form a cluster, and one sturm_count call counts the
     eigenvalues below each cluster's two ends.  Each count must equal the
@@ -685,10 +683,9 @@ def modified_spectrum_certified(spec: ModelSpec) -> CertifiedSpectrum:
     memory and O(m^2) flops in O(m) array steps.  A count that disagrees
     raises RootCountMismatch: the closed form is a theorem, so that is a bug.
     """
-    cs, m, _ = _masses(spec, "the closed form")
-    _c_squared(cs)  # the largest squared off-diagonal of the bands is 4 c^2
-    c = spec.c
-    s = np.sort(2.0 * np.sqrt(lambda_of_alpha(c, (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m))))
+    m, c = spec.m, spec.c
+    # sqrt(4 lambda) is 2 sqrt(lambda) exactly: scaling by 4 commutes with rounding
+    s = np.sqrt(modified_spectrum_closed_form(spec)[::2])
     values = np.concatenate((-s[::-1], s))
     a, e = ktilde_bands(spec)
     ae = np.abs(e)

@@ -30,7 +30,7 @@ def full_rank_tall(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
 
 def violations(evals: np.ndarray, lo: float, hi: float, nonzero_only: bool = False) -> int:
     """Eigenvalues strictly inside (lo, hi) beyond the acceptance margin."""
-    margin = 1e-10 * max(1.0, float(np.max(np.abs(evals))))
+    margin = 1e-10 * float(np.max(np.abs(evals)))
     inside = evals[(evals > lo + margin) & (evals < hi - margin)]
     if nonzero_only:
         inside = inside[np.abs(inside) > margin]

@@ -264,7 +264,7 @@ def test_ac09_boundary_modification():
             worst_sym = max(worst_sym, float(np.max(np.abs(wt + wt[::-1]))))
             closed = model.modified_spectrum_closed_form(spec)
             worst_closed = max(worst_closed, float(np.max(np.abs(np.sort(wt**2) - closed))))
-            radius = model.stable_gap(c).radius
+            radius = model.stable_gap(c)
             avoids = avoids and float(np.min(np.abs(wt))) >= radius - 1e-10
     ok = worst_sq <= 1e-12 and worst_sym <= 1e-10 and worst_closed <= 1e-9 and avoids
     _report(

@@ -311,10 +311,19 @@ def test_secular_solve_newton_evaluation_count(monkeypatch):
         assert calls[0] <= 15, (m, c, calls[0])
 
 
+HYP_ROOT_CASES = (
+    (2, 0.5), (4, 0.548224952260725), (10, 0.9), (50, 0.5), (100, 0.2), (1000, 0.9),
+    # deep regime, 2 m alpha0 = 549 to 557: just short of the asymptote at
+    # 600, with delta near e^-550, where the bisection works in log(delta)
+    (200, 0.25), (400, 0.5), (1000, 0.76), (2000, 0.87),
+)
+
+
 def test_hyp_root_evaluation_count(monkeypatch):
     # regula falsi plus the windowed bisection evaluate h about 30 times,
     # where bisecting the whole bracket takes 44 to 60; each evaluation of h
     # (and each _log_sinh term of the result) calls sinh once
+    want = [_scalar_hyp_root(m, c) for m, c in HYP_ROOT_CASES]
     calls = [0]
     sinh = np.sinh
 
@@ -323,9 +332,9 @@ def test_hyp_root_evaluation_count(monkeypatch):
         return sinh(x)
 
     monkeypatch.setattr(np, "sinh", counted)
-    for m, c in ((2, 0.5), (4, 0.548224952260725), (10, 0.9), (50, 0.5), (100, 0.2), (1000, 0.9)):
+    for (m, c), root in zip(HYP_ROOT_CASES, want):
         calls[0] = 0
-        model._hyp_root(m, c)
+        assert model._hyp_root(m, c) == root, (m, c)
         assert calls[0] <= 40, (m, c, calls[0])
 
 
@@ -340,9 +349,9 @@ def test_spurious_estimate():
 
 
 def test_stable_gap_radius():
-    assert model.stable_gap(0.5).radius == 1.0
-    assert model.stable_gap(1.0).radius == 0.0
-    assert model.stable_gap(2.0).radius == 2.0
+    assert model.stable_gap(0.5) == 1.0
+    assert model.stable_gap(1.0) == 0.0
+    assert model.stable_gap(2.0) == 2.0
     with pytest.raises(ValueError):
         model.stable_gap(-0.5)
 
@@ -648,7 +657,7 @@ def test_modified_spectrum_closed_form():
         assert np.allclose(np.sort(wt**2), model.modified_spectrum_closed_form(spec), atol=1e-9)
         assert np.max(np.abs(wt + wt[::-1])) < 1e-10 * np.max(np.abs(wt))
         # the modified spectrum clears the stable gap entirely
-        assert np.min(np.abs(wt)) >= model.stable_gap(c).radius - 1e-12
+        assert np.min(np.abs(wt)) >= model.stable_gap(c) - 1e-12
 
 
 def _shuffle(m):
