@@ -57,9 +57,9 @@ def _min_eig(w: np.ndarray, name: str) -> float:
 class BlockSaddle:
     """Blocks of H = [[A, B], [B^T, -C]]; A and C symmetric positive semidefinite.
 
-    Validation keeps the eigenpairs of A and C (`eig_A`, `eig_C`); a C
-    bit-equal to A (the Kirsch form) shares A's.  The SVD of B and the
-    spectrum of H are computed on first use and kept.
+    Validation keeps the eigenpairs of A and C (`eig_A`, `eig_C`; C shares
+    A's when `C_equals_A`, C bit-equal to A).  The SVD of B, `B_full_rank`
+    and the spectrum of H are computed on first use and kept.
     """
 
     A: np.ndarray
@@ -70,10 +70,8 @@ class BlockSaddle:
         A = np.asarray(self.A, dtype=float)
         eig_A = linalg.sym_eig(A, "A", psd=True)
         C = np.asarray(self.C, dtype=float)
-        if C.shape == A.shape and C.tobytes() == A.tobytes():
-            eig_C = eig_A
-        else:
-            eig_C = linalg.sym_eig(C, "C", psd=True)
+        C_equals_A = C.shape == A.shape and C.tobytes() == A.tobytes()
+        eig_C = eig_A if C_equals_A else linalg.sym_eig(C, "C", psd=True)
         B = np.atleast_2d(linalg.require_finite(self.B, "B"))
         if B.shape != (A.shape[0], C.shape[0]):
             raise DimensionMismatch(
@@ -84,6 +82,7 @@ class BlockSaddle:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "eig_A", _read_only(eig_A))
         object.__setattr__(self, "eig_C", _read_only(eig_C))
+        object.__setattr__(self, "C_equals_A", C_equals_A)
 
     @property
     def m(self) -> int:
@@ -100,6 +99,11 @@ class BlockSaddle:
     def svd_B(self):
         """Thin SVD of B as (U, S, Vh), singular values descending."""
         return _read_only(np.linalg.svd(self.B, full_matrices=False))
+
+    @cached_property
+    def B_full_rank(self) -> bool:
+        """Whether B has rank min(m, k): its singular values are definite at max(m, k) eps."""
+        return linalg.definite(self.svd_B[1], max(self.m, self.k) * linalg.EPS)
 
     @cached_property
     def eigvals_H(self) -> np.ndarray:
@@ -221,9 +225,9 @@ def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     """
     if H.m != H.k:
         raise BNotInvertible(f"B must be square, got {H.m}x{H.k}")
-    U, s, Vh = H.svd_B
-    if not linalg.definite(s):
+    if not H.B_full_rank:
         raise UnboundedRelativeBound("B is singular; relative bounds are infinite")
+    U, s, Vh = H.svd_B
     alpha = linalg.relative_size(H.A, U, s)
     gamma = linalg.relative_size(H.C, Vh.T, s)
     binv = 1.0 / float(s[-1])
@@ -288,11 +292,11 @@ def zero_dichotomy_certificate(H: BlockSaddle) -> GapCertificate:
 def kirsch_certificate(H: BlockSaddle) -> GapCertificate:
     """Gap radius sqrt(min sigma(A)^2 + min sigma(B)^2) for H = [[A, B], [B, -A]].
 
-    A and B must be symmetric positive semidefinite of equal size, at
-    least one of them definite.  Reads the eigenvalues of A the saddle
-    keeps; only B is factorized.
+    C must be bit-equal to A (`C_equals_A`), and A, B symmetric positive
+    semidefinite, one of them definite.  Reads the eigenvalues of A the
+    saddle keeps; only B is factorized.
     """
-    if H.m != H.k or np.max(np.abs(H.C - H.A)) > 1e-12 * np.max(np.abs(H.A)):
+    if not H.C_equals_A:
         raise ValueError("kirsch form needs square blocks with C = A")
     wa, wb = H.eig_A.values, linalg.sym_eig(H.B, "B", psd=True).values
     if not (linalg.definite(wa) or linalg.definite(wb)):
@@ -316,9 +320,9 @@ def winklmeier_bound(H: BlockSaddle) -> float:
     """
     if H.m != H.k:
         raise BNotInvertible(f"B must be square, got {H.m}x{H.k}")
-    _, s, _ = H.svd_B
-    if not linalg.definite(s):
+    if not H.B_full_rank:
         raise BNotInvertible("B is singular to working precision")
+    _, s, _ = H.svd_B
     na = float(np.max(np.abs(H.eig_A.values)))
     nc = float(np.max(np.abs(H.eig_C.values)))
     return float(-(na + nc) / 2.0 + np.hypot((na - nc) / 2.0, float(s[-1])))

@@ -190,8 +190,6 @@ def _pair_verdict(pair: stokes.IntervalPair, ps: stokes.PencilSpectrum, margin: 
 
 def _cmd_stokes(args) -> str:
     S = matio.read_block_saddle(args.file)
-    if np.any(S.C != 0.0):
-        raise ValueError("stokes command needs the C block to be zero")
     ps = stokes.pencil_spectrum(S)
     if args.format == "csv":
         rows = [(i + 1, "minus", float(v)) for i, v in enumerate(ps.lambda_minus)]

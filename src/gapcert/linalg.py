@@ -215,9 +215,9 @@ def sturm_error_bound(offdiag) -> float:
 
 
 def null_space_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {x : ||Mx|| <= n eps ||M|| ||x||}, as columns, for M with n columns.
+    """Orthonormal basis of {x : ||Mx|| <= p eps ||M|| ||x||}, p = min(M.shape), as columns.
 
-    Returns an (n, r) array; r may be zero.
+    Returns an (n, r) array for M with n columns; r may be zero.
     """
     M = require_finite(M)
     if M.ndim != 2:
@@ -228,5 +228,5 @@ def null_space_basis(M: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(M, full_matrices=True)
     # rows of vt beyond min(m, n) span directions M maps to zero exactly
     null = np.ones(n, dtype=bool)
-    null[: s.size] = negligible(s, n * EPS)
+    null[: s.size] = negligible(s)
     return vt[null].T

@@ -1,9 +1,9 @@
 """Eigenvalue branches and inclusion intervals for Stokes-type matrices.
 
-These are saddle matrices H = [[A, B], [B^T, 0]] with A symmetric PSD.
-The quadratic pencil lambda^2 I - lambda A - B B^T is overdamped under
-the null-space condition N(A) cap N(B^T) = {0}, which separates the
-spectrum into a negative and a positive branch with minimax structure.
+These are saddle matrices H = [[A, B], [B^T, 0]] with A symmetric PSD
+(the spectrum, interval and gap functions raise ValueError on C != 0).
+Under N(A) cap N(B^T) = {0} the pencil lambda^2 I - lambda A - B B^T is
+overdamped: a negative and a positive branch, each with minimax structure.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ from .errors import (
     RankDeficient,
 )
 
-EPS = linalg.EPS
-
 
 class StokesMatrix(bounds.BlockSaddle):
     """H = [[A, B], [B^T, 0]]: a BlockSaddle whose C block is zero.
 
-    Every function here takes any BlockSaddle with C = 0 and reads the
-    factorizations it keeps.
+    The spectrum, interval and gap functions here take any BlockSaddle,
+    refuse one with C != 0, and read the factorizations it keeps.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
@@ -111,8 +109,14 @@ def rayleigh_p(x: np.ndarray, S: bounds.BlockSaddle) -> tuple[float, float]:
     return (a + root) / 2.0, (a - root) / 2.0
 
 
+def _require_zero_C(S: bounds.BlockSaddle) -> None:
+    if np.any(S.C):
+        raise ValueError("stokes command needs the C block to be zero")
+
+
 def pencil_spectrum(S: bounds.BlockSaddle) -> PencilSpectrum:
     """Classify the spectrum of H into pencil branches."""
+    _require_zero_C(S)
     w = S.eigvals_H
     neg = w[~linalg.negligible(-w)]
     pos = w[~linalg.negligible(w)]
@@ -142,10 +146,11 @@ def minimal_intervals(S: bounds.BlockSaddle) -> IntervalPair:
 
 def _outer_hypotheses(S: bounds.BlockSaddle) -> tuple[float, float]:
     """Extreme eigenvalues of A, which must be positive definite, while B has full column rank."""
+    _require_zero_C(S)
     w = S.eig_A.values
     if not linalg.definite(w):
         raise NotDefinite("A must be positive definite for this interval estimate")
-    if S.k > S.m or not linalg.definite(S.svd_B[1], S.m * EPS):
+    if S.k > S.m or not S.B_full_rank:
         raise RankDeficient(f"B must have full column rank {S.k}")
     return float(w[0]), float(w[-1])
 
@@ -199,9 +204,10 @@ def new_gap_estimate(S: bounds.BlockSaddle) -> bounds.GapCertificate:
     when k > m.  For square B this also bounds
     ||H^{-1}|| <= ||B^{-1}|| (alpha + sqrt(alpha^2 + 4))/2.
     """
-    U, s, _ = S.svd_B
-    if S.m > S.k or not linalg.definite(s, S.k * EPS):
+    _require_zero_C(S)
+    if S.m > S.k or not S.B_full_rank:
         raise RankDeficient("B^T must have full column rank for the gap estimate")
+    U, s, _ = S.svd_B
     beta1 = float(s[-1])
     alpha = linalg.relative_size(S.A, U, s)
     denom = alpha + float(np.hypot(alpha, 2.0))

@@ -1,5 +1,7 @@
 """Gap certificates, inverse-norm bounds, and counterexample fixtures."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +35,47 @@ def test_block_saddle_validation():
     S = BlockSaddle(np.eye(2), np.ones((2, 1)), np.eye(1))
     H = S.assemble()
     assert H.shape == (3, 3) and H[2, 2] == -1.0 and H[0, 2] == 1.0
+
+
+def test_B_full_rank_is_decided_at_the_larger_dimension():
+    # the one rank rule for B: its singular values are definite at max(m, k) eps,
+    # here 5 eps, whichever side is the longer one
+    for s_min, full in ((8e-16, False), (2e-15, True)):
+        B = np.zeros((2, 5))
+        B[0, 0], B[1, 1] = 1.0, s_min
+        assert BlockSaddle(np.eye(2), B, np.eye(5)).B_full_rank is full
+        assert BlockSaddle(np.eye(5), B.T, np.eye(2)).B_full_rank is full
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: bounds.winklmeier_certificate(BlockSaddle(np.eye(2), np.ones((2, 1)), np.eye(1))),
+            BNotInvertible,
+            "B must be square, got 2x1",
+        ),
+        (
+            lambda: bounds.winklmeier_certificate(BlockSaddle(np.eye(2), np.ones((2, 2)), np.eye(2))),
+            BNotInvertible,
+            "B is singular to working precision",
+        ),
+        (
+            lambda: bounds.zero_dichotomy_certificate(BlockSaddle(np.diag([1.0, 0.0]), np.eye(2), np.eye(2))),
+            DimensionMismatch,
+            "dim N(A) = 1 differs from dim N(C) = 0",
+        ),
+        (
+            lambda: bounds.inv_IplusAC_bound(np.eye(2), np.eye(3)),
+            DimensionMismatch,
+            "A and C must share a shape, got (2, 2) and (3, 3)",
+        ),
+        (lambda: Quartic4x4Params(1.0, 1.0, sign=2), ValueError, "sign must be +1 or -1, got 2"),
+    ],
+)
+def test_domain_error_messages(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("t", [1e-160, 1e-80, 1e80, 1e155])
@@ -255,6 +298,18 @@ def test_kirsch_certificate():
     S = np.diag([1.0, 0.0])
     with pytest.raises(BothSemidefiniteSingular):
         bounds.kirsch_certificate(BlockSaddle(S, S, S))
+
+
+@pytest.mark.parametrize("shift", [-1.5e-12, 1.5e-12])
+def test_kirsch_needs_C_bit_equal_to_A(shift):
+    # C = A -/+ 1.5e-12 I puts an eigenvalue 1.3e-12 (or 2.2e-13) inside
+    # (-sqrt 2, sqrt 2), the interval the Kirsch radius of A and B would certify
+    A, B = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
+    S = BlockSaddle(A, B, A + shift * np.eye(2))
+    assert not S.C_equals_A
+    assert np.min(np.abs(np.linalg.eigvalsh(S.assemble()))) < np.sqrt(2.0) - 1e-13
+    with pytest.raises(ValueError, match="^kirsch form needs square blocks with C = A$"):
+        bounds.kirsch_certificate(S)
 
 
 def test_kirsch_property_and_embedding_route():

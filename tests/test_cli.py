@@ -229,6 +229,25 @@ def test_stokes_needs_zero_C_exit3(tmp_path, capsys):
     assert run(capsys, "stokes", f)[0] == 3
 
 
+@pytest.mark.parametrize("argv", [[], ["--method", "new"], ["--method", "all"], ["--format", "csv"]])
+def test_stokes_nonzero_C_stderr(tmp_path, capsys, argv):
+    f = write_block(tmp_path / "c.txt", np.eye(2), np.eye(2), 1e-300 * np.eye(2))
+    code, out, err = run(capsys, "stokes", f, *argv)
+    assert (code, out, err) == (3, "", "error: stokes command needs the C block to be zero\n")
+
+
+@pytest.mark.parametrize("shift", [-1.5e-12, 1.5e-12])
+def test_kirsch_refuses_C_near_A(tmp_path, capsys, shift):
+    A = np.diag([1.0, 2.0])
+    f = write_block(tmp_path / "k.txt", A, np.diag([1.0, 3.0]), A + shift * np.eye(2))
+    reason = "kirsch form needs square blocks with C = A"
+    code, out, err = run(capsys, "bounds", f, "--method", "kirsch")
+    assert (code, out, err) == (3, "", f"error: {reason}\n")
+    code, out, _ = run(capsys, "bounds", f, "--method", "all")
+    by_method = {r["method"]: r for r in json.loads(out)["results"]}
+    assert code == 0 and by_method["kirsch"] == {"method": "kirsch", "skipped": reason}
+
+
 def test_model_secular_small_csv(capsys):
     code, out, _ = run(capsys, "model", "secular", "-m", "2", "-c", "1")
     assert code == 0

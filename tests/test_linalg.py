@@ -35,6 +35,11 @@ def test_sym_eig_rejects_asymmetric():
         linalg.sym_eig(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_sym_eig_rejects_rectangular():
+    with pytest.raises(NotSymmetric, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        linalg.sym_eig(np.ones((2, 3)))
+
+
 def test_op_norm_matches_svd():
     rng = np.random.default_rng(1)
     M = rng.standard_normal((4, 7))

@@ -1,5 +1,7 @@
 """Matrix and block saddle text formats: round trips and parse failures."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,33 @@ def test_block_validation_is_not_a_parse_error():
     text = "A\n1 1\n-1\nB\n1 1\n1\nC\nzero 1\n"
     with pytest.raises(NotPSD):
         matio.parse_block_saddle(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a b\n1\n", "matrix header must be two integers, got 'a b'"),
+        ("1 1\nnan\n", "matrix contains non-finite entries"),
+        ("1 1\ninf\n", "matrix contains non-finite entries"),
+        ("1 1\n1e999\n", "matrix contains non-finite entries"),
+    ],
+)
+def test_matrix_header_and_entry_errors(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        matio.parse_matrix(text)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("zero", "zero block must be 'zero k', got 'zero'"),
+        ("zero 1 2", "zero block must be 'zero k', got 'zero 1 2'"),
+        ("zero x", "zero block size must be an integer, got 'x'"),
+    ],
+)
+def test_zero_c_section_errors(line, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        matio.parse_block_saddle(f"A\n1 1\n1\nB\n1 1\n1\nC\n{line}\n")
 
 
 def test_seventeen_digit_round_trip():

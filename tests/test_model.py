@@ -803,3 +803,14 @@ def test_gap_scan():
     assert [r[2] for r in first] == list(range(1, 9))
     assert np.allclose([r[3] for r in first], evals, atol=0.0)
     assert {r[1] for r in rows} == {"H", "Htilde"}
+
+
+@pytest.mark.parametrize("m, c", [(2, 1e-10), (3, 1e-12), (5, 1e-15), (14, 1e-9)])
+def test_hyp_root_where_log_sinh_is_asymptotic(m, c):
+    # alpha1 >= 20 puts both arguments of _log_sinh that exceed alpha1 on its
+    # x >= 20 branch, and 2 m alpha0 <= 600 keeps the solve off the asymptote
+    spec = ModelSpec(m, c)
+    alpha1, log_lam = model.secular_solve(spec).hyp_root
+    assert alpha1 >= 20.0 and 2.0 * m * -np.log(c) <= 600.0
+    want = 2.0 * np.log(float(bidiag_svd_hra(model.build_Tc(spec)).min()))
+    assert abs(log_lam - want) <= 1e-15 * abs(want)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gapcert import stokes
+from gapcert.bounds import BlockSaddle
 from gapcert.errors import (
     DegenerateDirection,
     DimensionMismatch,
@@ -242,6 +243,26 @@ def test_new_gap_estimate_rank_errors():
         stokes.new_gap_estimate(StokesMatrix(np.eye(2), np.ones((2, 1))))
     with pytest.raises(RankDeficient):
         stokes.new_gap_estimate(StokesMatrix(np.eye(2), np.ones((2, 2))))
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        stokes.pencil_spectrum,
+        stokes.minimal_intervals,
+        stokes.ruwa_intervals,
+        stokes.axel_intervals,
+        stokes.new_gap_estimate,
+    ],
+)
+def test_stokes_functions_refuse_nonzero_C(estimate):
+    # square saddles that meet every other hypothesis, with a C block that is not zero
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        S = BlockSaddle(rand_pd(rng, n), full_rank_tall(rng, n, n), rand_psd(rng, n))
+        with pytest.raises(ValueError, match="^stokes command needs the C block to be zero$"):
+            estimate(S)
 
 
 def test_new_gap_estimate_property():
