@@ -300,7 +300,7 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
     """Run the model invariant suite over a grid and aggregate worst defects.
 
     Each size m is checked as one batch over the masses: one stacked
-    eigvalsh per operator, one stacked SVD and one secular solve for all
+    eigvalsh per operator, one bidiag_svd_hra call and one secular solve for all
     c > 0, with the defects reduced along the stack axis.
     """
     worst = {name: 0.0 for name in VERIFY_TOLS}

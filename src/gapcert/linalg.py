@@ -6,6 +6,9 @@ singular values descending, matching the conventions of numpy.linalg.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -136,23 +139,92 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
+class _Kernels(NamedTuple):
+    dlasq1: Callable[..., None]
+    dsterf: Callable[..., None]
+
+
+@functools.cache
+def _kernels() -> _Kernels | None:
+    """LAPACK's dlasq1 and dsterf from the OpenBLAS numpy links against, or None.
+
+    numpy's linalg extension is opened with ctypes; dlsym searches the
+    libraries it depends on, so this finds the bundled OpenBLAS without
+    knowing the wheel's layout.  Only the ILP64 symbols of the
+    scipy-openblas build that numpy 2 wheels ship are taken (64-bit
+    integers, names scipy_*_64_).  Any other build (numpy 1.x wheels, MKL,
+    Accelerate, Windows) gives None, and the callers take the dense route.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        found = _Kernels(lib.scipy_dlasq1_64_, lib.scipy_dsterf_64_)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for fn in found:
+        fn.restype = None
+    return found
+
+
+def _call(fn, n: int, *arrays: np.ndarray) -> None:
+    # one Fortran call fn(N, arrays..., INFO) with ILP64 integers; raises on INFO != 0
+    info = ctypes.c_int64(0)
+    pointers = (a.ctypes.data_as(ctypes.c_void_p) for a in arrays)
+    fn(ctypes.byref(ctypes.c_int64(n)), *pointers, ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"{fn.__name__} did not converge (info {info.value})")
+
+
 def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
     """Singular values of a lower bidiagonal matrix (or a stack) to high relative accuracy.
 
-    The dense lower bidiagonal is transposed to upper and goes to numpy's
-    SVD without vectors.  Its bidiagonal reduction is a no-op on that
-    input, and LAPACK's values-only path (dgesdd with JOBZ='N': dbdsdc ->
-    dlasdq -> dbdsqr -> dlasq1) ends in dqds, which determines every
-    singular value of a bidiagonal to a relative accuracy independent of
-    the condition number (Demmel-Kahan 1990; Fernando-Parlett 1994).  A
-    stack goes to one stacked SVD, which runs the same LAPACK call on
-    each matrix.
+    LAPACK's dlasq1 runs dqds on the bands directly, which determines
+    every singular value of a bidiagonal to a relative accuracy
+    independent of the condition number (Demmel-Kahan 1990;
+    Fernando-Parlett 1994), in O(n^2) flops and O(n) memory; a stack makes
+    one call per matrix.  The bands are copied first, since dlasq1
+    overwrites them.  Where _kernels finds no dlasq1, the dense upper
+    bidiagonal goes to numpy's SVD without vectors, whose LAPACK path
+    (dgesdd with JOBZ='N': a no-op bidiagonal reduction, then dbdsdc ->
+    dlasdq -> dbdsqr) ends in the same dlasq1 call, at O(n^3) cost.
     """
     d = require_finite(T.diag, "diag")
-    require_finite(T.offdiag, "offdiag")
+    e = require_finite(T.offdiag, "offdiag")
     if d.size == 0:
         return np.zeros(d.shape)
-    return np.linalg.svd(T.dense().swapaxes(-1, -2), compute_uv=False)
+    kernels = _kernels()
+    if kernels is None:
+        return np.linalg.svd(T.dense().swapaxes(-1, -2), compute_uv=False)
+    n = d.shape[-1]
+    s = np.array(d.reshape(-1, n), order="C")
+    e = e.reshape(s.shape[0], n - 1)
+    band, work = np.empty(n), np.empty(4 * n)
+    for i in range(s.shape[0]):
+        band[: n - 1] = e[i]
+        _call(kernels.dlasq1, n, s[i], band, work)
+    return s.reshape(d.shape)
+
+
+def tridiag_eigvalsh(diag, offdiag) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal T = (diag, offdiag).
+
+    LAPACK's dsterf (Pal-Walker-Kahan QR) runs on copies of the bands: O(n^2)
+    flops, O(n) memory and no threads.  It is the last step of the
+    values-only path of numpy's eigvalsh (dsyevd: dsytrd, then dsterf), and
+    dsytrd leaves a tridiagonal input unchanged, so where _kernels finds no
+    dsterf, eigvalsh of the dense T gives the same values at O(n^3) cost.
+    """
+    a = require_finite(diag, "diag")
+    e = require_finite(offdiag, "offdiag")
+    if a.ndim != 1 or e.shape != (max(a.size - 1, 0),):
+        raise ValueError("a tridiagonal needs a diagonal of n entries and an off-diagonal of n - 1")
+    kernels = _kernels()
+    if kernels is None:
+        return np.linalg.eigvalsh(np.diag(a) + np.diag(e, -1) + np.diag(e, 1))
+    w, band = a.copy(), e.copy()
+    _call(kernels.dsterf, a.size, w, band)
+    return w
 
 
 def sturm_count(diag, offdiag, shifts) -> np.ndarray:

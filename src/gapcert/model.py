@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfRegime, RootCountMismatch
-from .linalg import EPS, Bidiagonal, bidiag_svd_hra, sturm_count, sturm_error_bound
+from .linalg import EPS, Bidiagonal, bidiag_svd_hra, sturm_count, sturm_error_bound, tridiag_eigvalsh
 
 TWO53 = float(1 << 53)
 
@@ -197,7 +197,8 @@ def hc_spectrum(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
 
     sigma(H) = +-sv(X) with X = D - B, so every eigenvalue, including a
     denormal central pair, is computed to high relative accuracy.  A
-    stack of specs gives a (k, 2m) stack of spectra from one stacked SVD.
+    stack of specs gives a (k, 2m) stack of spectra from one
+    bidiag_svd_hra call.
     """
     s = bidiag_svd_hra(_x_bidiagonal(spec))
     return np.sort(np.concatenate([-s, s], axis=-1), axis=-1)
@@ -741,7 +742,10 @@ def disorder_experiment(spec: ModelSpec) -> DisorderReport:
     central pair is meaningful); the boundary modification breaks the
     symmetry and purges the central pair.  A lone small eigenvalue can
     survive for draws whose near-kernel vector localizes away from the
-    modified corners, but never a symmetric pair of them.
+    modified corners, but never a symmetric pair of them.  The modified
+    spectrum comes from the O(m) tridiagonal of ktilde_bands, as in
+    gap_scan; the dense eigvalsh of H_omega only measures the symmetry
+    defect.
     """
     if spec.disorder is None:
         raise ValueError("disorder_experiment needs a disorder law")
@@ -751,7 +755,7 @@ def disorder_experiment(spec: ModelSpec) -> DisorderReport:
     abs_sorted = np.sort(np.abs(evals))
     dense = np.linalg.eigvalsh(build_Hc(spec))
     defect = float(np.max(np.abs(dense + dense[::-1])))
-    wt = np.linalg.eigvalsh(build_Htilde(spec))
+    wt = tridiag_eigvalsh(*ktilde_bands(spec))
     return DisorderReport(
         eigenvalues=evals,
         near_zero=near,
@@ -768,15 +772,18 @@ def gap_scan(M_list, delta: float, m: int, seed: int) -> list[tuple[float, str, 
     """Spectra of H_omega and H_tilde_omega over a grid of disorder means.
 
     Each grid point M draws omega ~ U[M - delta, M + delta] once, from its
-    own stream (seed + index), for both spectra.  Returns rows (M, variant, index, eigenvalue)
-    with 1-based ascending indices, 2m rows per variant per M.
+    own stream (seed + index), for both spectra.  H_omega's come from the
+    bidiagonal SVD (hc_spectrum), H_tilde_omega's from the tridiagonal of
+    ktilde_bands (tridiag_eigvalsh); no 2m x 2m matrix is built.  Returns
+    rows (M, variant, index, eigenvalue) with 1-based ascending indices,
+    2m rows per variant per M.
     """
     rows: list[tuple[float, str, int, float]] = []
     for i, M in enumerate(M_list):
         spec = ModelSpec(m, 0.0, DisorderSpec(M - delta, M + delta, seed + i))
         for variant, evals in (
             ("H", hc_spectrum(spec)),
-            ("Htilde", np.linalg.eigvalsh(build_Htilde(spec))),
+            ("Htilde", tridiag_eigvalsh(*ktilde_bands(spec))),
         ):
             rows.extend((float(M), variant, j + 1, float(v)) for j, v in enumerate(evals))
     return rows

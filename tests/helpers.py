@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 
+from gapcert import linalg
+
 
 def rand_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     M = rng.standard_normal((n, n))
@@ -38,7 +40,11 @@ def violations(evals: np.ndarray, lo: float, hi: float, nonzero_only: bool = Fal
 
 
 def count_factorizations(monkeypatch) -> Counter:
-    """Count numpy.linalg factorizations (and 2-norms) by kind while monkeypatch is active."""
+    """Count numpy.linalg factorizations (and 2-norms) by kind while monkeypatch is active.
+
+    The LAPACK kernels linalg calls directly count too: each dlasq1 call
+    as an svd, each dsterf call as an eigvalsh.
+    """
     counts: Counter = Counter()
 
     def counted(kind, fn, when=lambda *a, **k: True):
@@ -52,4 +58,8 @@ def count_factorizations(monkeypatch) -> Counter:
         monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
     norm2 = lambda x, ord=None, *a, **k: ord == 2  # noqa: E731
     monkeypatch.setattr(np.linalg, "norm", counted("norm2", np.linalg.norm, norm2))
+    kernels = linalg._kernels()
+    if kernels is not None:
+        wrapped = linalg._Kernels(counted("svd", kernels.dlasq1), counted("eigvalsh", kernels.dsterf))
+        monkeypatch.setattr(linalg, "_kernels", lambda: wrapped)
     return counts

@@ -186,3 +186,53 @@ def test_sturm_count_input_checks():
     with pytest.raises(OverflowError):
         linalg.sturm_count([1.0, 2.0], [1e200], [0.0])
     assert linalg.sturm_error_bound([1.0, -4.0]) < 1e-14
+
+
+def test_tridiag_eigvalsh_matches_dense():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 40):
+        a, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        w = np.linalg.eigvalsh(_tridiagonal(a, e))
+        got = linalg.tridiag_eigvalsh(a, e)
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.allclose(got, w, rtol=0.0, atol=4 * n * linalg.EPS * np.max(np.abs(w)))
+    assert linalg.tridiag_eigvalsh(np.zeros(0), np.zeros(0)).shape == (0,)
+    with pytest.raises(ValueError):
+        linalg.tridiag_eigvalsh([1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(NotFinite):
+        linalg.tridiag_eigvalsh([1.0, np.inf], [1.0])
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    rng = np.random.default_rng(12)
+    a, e = rng.standard_normal(9), rng.standard_normal(8)
+    saved = a.copy(), e.copy()
+    linalg.tridiag_eigvalsh(a, e)
+    assert np.array_equal(a, saved[0]) and np.array_equal(e, saved[1])
+    d, f = rng.standard_normal((3, 9)), rng.standard_normal((3, 8))
+    saved = d.copy(), f.copy()
+    T = Bidiagonal(d, f)
+    linalg.bidiag_svd_hra(T)
+    linalg.bidiag_svd_hra(Bidiagonal(d[0], f[0]))
+    assert np.array_equal(T.diag, saved[0]) and np.array_equal(T.offdiag, saved[1])
+    assert np.array_equal(d, saved[0]) and np.array_equal(f, saved[1])
+
+
+def test_stacked_bidiag_svd_equals_its_rows():
+    rng = np.random.default_rng(13)
+    d, e = rng.standard_normal((2, 3, 10)), rng.standard_normal((2, 3, 9))
+    stack = linalg.bidiag_svd_hra(Bidiagonal(d, e))
+    assert stack.shape == (2, 3, 10)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(stack[i], linalg.bidiag_svd_hra(Bidiagonal(d[i], e[i])))
+
+
+def test_kernel_failure_raises(monkeypatch):
+    def fails(*args):
+        args[-1]._obj.value = 1  # INFO, passed by reference
+
+    monkeypatch.setattr(linalg, "_kernels", lambda: linalg._Kernels(fails, fails))
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.tridiag_eigvalsh([1.0, 2.0], [1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.bidiag_svd_hra(Bidiagonal(np.ones((2, 3)), np.ones((2, 2))))

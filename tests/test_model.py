@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from gapcert import model
+from gapcert import linalg, model
 from gapcert.cli import _build_parser, main
 from gapcert.errors import OutOfRegime, RootCountMismatch
-from gapcert.linalg import Bidiagonal, bidiag_svd_hra
+from gapcert.linalg import Bidiagonal, bidiag_svd_hra, tridiag_eigvalsh
 from gapcert.model import DisorderSpec, ModelSpec
 
 from helpers import count_factorizations
@@ -565,9 +565,11 @@ def test_disorder_drawn_once_per_grid_point(monkeypatch):
     # the experiment's spectra are the ones the builders give for its spec
     monkeypatch.undo()
     assert np.array_equal(rep.eigenvalues, model.hc_spectrum(spec))
-    assert np.array_equal(rep.modified_eigenvalues, np.linalg.eigvalsh(model.build_Htilde(spec)))
+    assert np.array_equal(rep.modified_eigenvalues, tridiag_eigvalsh(*model.ktilde_bands(spec)))
     scan = ModelSpec(6, 0.0, DisorderSpec(0.2, 0.8, 2))
     assert [v for M, variant, _, v in rows if M == 0.5 and variant == "H"] == model.hc_spectrum(scan).tolist()
+    htilde = tridiag_eigvalsh(*model.ktilde_bands(scan)).tolist()
+    assert [v for M, variant, _, v in rows if M == 0.5 and variant == "Htilde"] == htilde
 
 
 STACK_MASSES = (0.0, 0.3, 0.5, 1.0, 1.7, 2.5)
@@ -814,3 +816,69 @@ def test_hyp_root_where_log_sinh_is_asymptotic(m, c):
     assert alpha1 >= 20.0 and 2.0 * m * -np.log(c) <= 600.0
     want = 2.0 * np.log(float(bidiag_svd_hra(model.build_Tc(spec)).min()))
     assert abs(log_lam - want) <= 1e-15 * abs(want)
+
+
+# deterministic chains over m = 2-400 and c = 0-3, and disordered draws
+KERNEL_GRID = [ModelSpec(m, c) for m in (2, 3, 8, 31, 120, 400) for c in (0.0, 0.45, 0.999, 1.0, 1.6, 3.0)]
+KERNEL_GRID += [
+    ModelSpec(m, 0.0, DisorderSpec(lo, lo + w, seed))
+    for seed, (m, lo, w) in enumerate(((2, -1.0, 2.0), (17, 0.3, 1.4), (150, -3.0, 6.0), (400, 0.0, 2.5)))
+]
+
+
+def test_dense_fallback_gives_the_kernel_digits(monkeypatch):
+    if linalg._kernels() is None:
+        pytest.skip("numpy's LAPACK exports no dlasq1/dsterf: the dense route is the only one")
+
+    def dense(fn):
+        # fn's value with linalg's loader finding no kernels, i.e. on the dense LAPACK route
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_kernels", lambda: None)
+            return fn()
+
+    for spec in KERNEL_GRID:
+        bands = model.ktilde_bands(spec)
+        assert _bits(tridiag_eigvalsh(*bands)) == _bits(dense(lambda: tridiag_eigvalsh(*bands))), spec
+        assert _bits(model.hc_spectrum(spec)) == _bits(dense(lambda: model.hc_spectrum(spec))), spec
+    for m in (8, 400):
+        specs = [s for s in KERNEL_GRID if s.m == m]
+        stack = model.hc_spectrum(specs)
+        assert _bits(stack) == _bits(dense(lambda: model.hc_spectrum(specs)))
+        assert all(_bits(row) == _bits(model.hc_spectrum(s)) for row, s in zip(stack, specs))
+    for args in (([0.0, 1.1, 2.3], 0.4, 60, 5), ([0.7], 0.75, 250, 9)):
+        assert model.gap_scan(*args) == dense(lambda: model.gap_scan(*args))
+
+
+def test_spectra_leave_the_drawn_diagonal_unchanged():
+    spec = ModelSpec(40, 0.0, DisorderSpec(-1.0, 2.0, 4))
+    saved = spec.diagonal.copy()
+    bands = model.ktilde_bands(spec)
+    saved_bands = [b.copy() for b in bands]
+    model.hc_spectrum(spec)
+    model.hc_spectrum([spec, spec])
+    tridiag_eigvalsh(*bands)
+    model.gap_scan([0.5], 1.5, 40, 4)
+    model.disorder_experiment(spec)
+    assert np.array_equal(spec.diagonal, saved)
+    assert all(np.array_equal(b, s) for b, s in zip(bands, saved_bands))
+
+
+def test_model_uses_the_linalg_svd():
+    # bench/spans.py times the SVD by rebinding this name in both modules
+    assert model.bidiag_svd_hra is linalg.bidiag_svd_hra
+
+
+@pytest.mark.parametrize("m", [100, 250])
+def test_scan_htilde_within_backward_bound_of_dense(m, capsys):
+    # tridiag_eigvalsh skips dsytrd's rounding, so each value may move from
+    # the dense eigvalsh of H_tilde, but by no more than 2n eps ||H_tilde||
+    for seed in (0, 1, 2):
+        argv = ["model", "scan", "-m", str(m), "--M", "0.4,1.3", "--delta", "0.6", "--seed", str(seed)]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        for i, M in enumerate((0.4, 1.3)):
+            got = np.array([float(r[3]) for r in rows if float(r[0]) == M and r[1] == "Htilde"])
+            spec = ModelSpec(m, 0.0, DisorderSpec(M - 0.6, M + 0.6, seed + i))
+            dense = np.linalg.eigvalsh(model.build_Htilde(spec))
+            bound = 2 * (2 * m) * linalg.EPS * np.max(np.abs(dense))
+            assert got.size == 2 * m and np.max(np.abs(got - dense)) <= bound, (m, seed, M)
