@@ -9,7 +9,6 @@ from __future__ import annotations
 import ctypes
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -23,36 +22,6 @@ TINY = float(np.finfo(np.float64).tiny)
 class EigenDecomposition(NamedTuple):
     values: np.ndarray
     vectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class Bidiagonal:
-    """Lower bidiagonal matrix stored by bands: the diagonal and the subdiagonal.
-
-    Bands with leading axes hold a stack of bidiagonals of one order:
-    diag has shape (..., n) and offdiag (..., n - 1).
-    """
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.offdiag, dtype=float)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
-        if d.ndim < 1 or e.shape != d.shape[:-1] + (max(d.shape[-1] - 1, 0),):
-            raise ValueError("bands must satisfy offdiag.shape == diag.shape[:-1] + (n - 1,)")
-
-    def dense(self) -> np.ndarray:
-        n = self.diag.shape[-1]
-        M = np.zeros(self.diag.shape + (n,))
-        i = np.arange(n)
-        M[..., i, i] = self.diag
-        if n > 1:
-            j = np.arange(n - 1)
-            M[..., j + 1, j] = self.offdiag
-        return M
 
 
 def require_finite(M: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -176,34 +145,43 @@ def _call(fn, n: int, *arrays: np.ndarray) -> None:
         raise np.linalg.LinAlgError(f"{fn.__name__} did not converge (info {info.value})")
 
 
-def bidiag_svd_hra(T: Bidiagonal) -> np.ndarray:
-    """Singular values of a lower bidiagonal matrix (or a stack) to high relative accuracy.
+def _bands(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
+    # the band format of every kernel here: one matrix's finite 1-D bands, offdiag one shorter
+    d = require_finite(diag, "diag")
+    e = require_finite(offdiag, "offdiag")
+    if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
+        raise ValueError("bands need a 1-D diagonal of n entries and a 1-D off-diagonal of n - 1")
+    return d, e
+
+
+def bidiag_svd_hra(diag, offdiag) -> np.ndarray:
+    """Singular values of the lower bidiagonal (diag, offdiag) to high relative accuracy.
 
     LAPACK's dlasq1 runs dqds on the bands directly, which determines
     every singular value of a bidiagonal to a relative accuracy
     independent of the condition number (Demmel-Kahan 1990;
-    Fernando-Parlett 1994), in O(n^2) flops and O(n) memory; a stack makes
-    one call per matrix.  The bands are copied first, since dlasq1
-    overwrites them.  Where _kernels finds no dlasq1, the dense upper
-    bidiagonal goes to numpy's SVD without vectors, whose LAPACK path
-    (dgesdd with JOBZ='N': a no-op bidiagonal reduction, then dbdsdc ->
-    dlasdq -> dbdsqr) ends in the same dlasq1 call, at O(n^3) cost.
+    Fernando-Parlett 1994), in O(n^2) flops and O(n) memory.  The bands
+    are copied first, since dlasq1 overwrites them.  Where _kernels finds
+    no dlasq1, the dense upper bidiagonal goes to numpy's SVD without
+    vectors, whose LAPACK path (dgesdd with JOBZ='N': a no-op bidiagonal
+    reduction, then dbdsdc -> dlasdq -> dbdsqr) ends in the same dlasq1
+    call, at O(n^3) cost.
     """
-    d = require_finite(T.diag, "diag")
-    e = require_finite(T.offdiag, "offdiag")
-    if d.size == 0:
-        return np.zeros(d.shape)
+    d, e = _bands(diag, offdiag)
+    n = d.size
+    if n == 0:
+        return np.zeros(0)
     kernels = _kernels()
     if kernels is None:
-        return np.linalg.svd(T.dense().swapaxes(-1, -2), compute_uv=False)
-    n = d.shape[-1]
-    s = np.array(d.reshape(-1, n), order="C")
-    e = e.reshape(s.shape[0], n - 1)
-    band, work = np.empty(n), np.empty(4 * n)
-    for i in range(s.shape[0]):
-        band[: n - 1] = e[i]
-        _call(kernels.dlasq1, n, s[i], band, work)
-    return s.reshape(d.shape)
+        # assigned into zeros, so every entry, -0.0 included, is the band's own
+        upper = np.zeros((n, n))
+        i = np.arange(n)
+        upper[i, i] = d
+        upper[i[:-1], i[1:]] = e
+        return np.linalg.svd(upper, compute_uv=False)
+    s = d.copy()
+    _call(kernels.dlasq1, n, s, np.append(e, 0.0), np.empty(4 * n))
+    return s
 
 
 def tridiag_eigvalsh(diag, offdiag) -> np.ndarray:
@@ -215,10 +193,7 @@ def tridiag_eigvalsh(diag, offdiag) -> np.ndarray:
     dsytrd leaves a tridiagonal input unchanged, so where _kernels finds no
     dsterf, eigvalsh of the dense T gives the same values at O(n^3) cost.
     """
-    a = require_finite(diag, "diag")
-    e = require_finite(offdiag, "offdiag")
-    if a.ndim != 1 or e.shape != (max(a.size - 1, 0),):
-        raise ValueError("a tridiagonal needs a diagonal of n entries and an off-diagonal of n - 1")
+    a, e = _bands(diag, offdiag)
     kernels = _kernels()
     if kernels is None:
         return np.linalg.eigvalsh(np.diag(a) + np.diag(e, -1) + np.diag(e, 1))
@@ -235,7 +210,8 @@ def sturm_count(diag, offdiag, shifts) -> np.ndarray:
     By Sylvester's law of inertia the number of negative pivots is the
     number of eigenvalues below x.  A pivot with |q| < pivmin = tiny *
     max(1, max e^2) is replaced by -pivmin, as LAPACK's dstebz does, so
-    no step divides by zero or overflows.  O(n) steps on all shifts at once.
+    no step divides by zero or overflows.  O(n) steps on all shifts at
+    once, each lane keeping a running count: O(n + lanes) memory.
 
     A computed count is the exact count of T + E for a symmetric
     tridiagonal E that depends on the shift (Kahan 1966; Demmel, Dhillon
@@ -245,19 +221,16 @@ def sturm_count(diag, offdiag, shifts) -> np.ndarray:
     3 pivmin, and an underflow in e_i^2 moves e_i by at most sqrt(tiny).
     The bound assumes no a_i - x overflows.
     """
-    a = require_finite(diag, "diag")
-    e = require_finite(offdiag, "offdiag")
+    a, e = _bands(diag, offdiag)
     x = require_finite(shifts, "shifts")
-    if a.ndim != 1 or e.shape != (max(a.size - 1, 0),):
-        raise ValueError("a tridiagonal needs a diagonal of n entries and an off-diagonal of n - 1")
     with np.errstate(over="ignore"):
         e2 = e * e
     if not np.isfinite(e2).all():
         raise OverflowError("a squared off-diagonal entry overflows the float range")
     pivmin = TINY * max(1.0, float(np.max(e2, initial=0.0)))
-    neg = np.empty((a.size,) + x.shape, dtype=bool)
+    count = np.zeros(x.shape, dtype=np.intp)
     q, t = np.empty_like(x), np.empty_like(x)
-    small = np.empty(x.shape, dtype=bool)
+    flag = np.empty(x.shape, dtype=bool)
     # a_i - x can overflow for huge entries; its infinity keeps the pivot's sign
     with np.errstate(over="ignore"):
         for i in range(a.size):
@@ -268,10 +241,11 @@ def sturm_count(diag, offdiag, shifts) -> np.ndarray:
             else:
                 np.subtract(a[0], x, out=q)
             np.abs(q, out=t)
-            np.less(t, pivmin, out=small)
-            np.copyto(q, -pivmin, where=small)
-            np.less(q, 0.0, out=neg[i])
-    return np.count_nonzero(neg, axis=0)
+            np.less(t, pivmin, out=flag)
+            np.copyto(q, -pivmin, where=flag)
+            np.less(q, 0.0, out=flag)
+            count += flag
+    return count
 
 
 def sturm_error_bound(offdiag) -> float:
@@ -284,21 +258,3 @@ def sturm_error_bound(offdiag) -> float:
     """
     emax = float(np.max(np.abs(require_finite(offdiag, "offdiag")), initial=0.0))
     return 6.0 * EPS * emax + 3.0 * TINY * max(1.0, emax * emax) + 2.0 * np.sqrt(TINY)
-
-
-def null_space_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {x : ||Mx|| <= p eps ||M|| ||x||}, p = min(M.shape), as columns.
-
-    Returns an (n, r) array for M with n columns; r may be zero.
-    """
-    M = require_finite(M)
-    if M.ndim != 2:
-        raise ValueError("expected a matrix")
-    n = M.shape[1]
-    if M.size == 0 or not np.any(M):
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(M, full_matrices=True)
-    # rows of vt beyond min(m, n) span directions M maps to zero exactly
-    null = np.ones(n, dtype=bool)
-    null[: s.size] = negligible(s)
-    return vt[null].T

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfRegime, RootCountMismatch
-from .linalg import EPS, Bidiagonal, bidiag_svd_hra, sturm_count, sturm_error_bound, tridiag_eigvalsh
+from .linalg import EPS, bidiag_svd_hra, sturm_count, sturm_error_bound, tridiag_eigvalsh
 
 TWO53 = float(1 << 53)
 
@@ -138,21 +138,21 @@ def build_Hc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     return _one(H, single)
 
 
-def _x_bidiagonal(spec: ModelSpec | Sequence[ModelSpec]) -> Bidiagonal:
-    # X = D - B is lower bidiagonal: diagonal 2c (or the draw), subdiagonal 2
+def build_Kc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
+    """K = U H U = [[0, X], [X^T, 0]] with X = D - B, assembled exactly; stacks as build_Hc.
+
+    X is lower bidiagonal: diagonal D's (2c, or the draw), subdiagonal 2.
+    """
     specs, single = _stack(spec)
     d = np.array([s.diagonal for s in specs])
-    return Bidiagonal(_one(d, single), _one(np.full_like(d[:, 1:], 2.0), single))
-
-
-def build_Kc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
-    """K = U H U = [[0, X], [X^T, 0]] with X = D - B, assembled exactly; stacks as build_Hc."""
-    X = _x_bidiagonal(spec).dense()
-    m = X.shape[-1]
-    K = np.zeros(X.shape[:-2] + (2 * m, 2 * m))
-    K[..., :m, m:] = X
-    K[..., m:, :m] = X.swapaxes(-1, -2)
-    return K
+    k, m = d.shape
+    K = np.zeros((k, 2 * m, 2 * m))
+    i, j = np.arange(m), np.arange(m - 1)
+    K[:, i, m + i] = d
+    K[:, j + 1, m + j] = 2.0
+    K[:, m + i, i] = d
+    K[:, m + j, j + 1] = 2.0
+    return _one(K, single)
 
 
 def _masses(spec: ModelSpec | Sequence[ModelSpec], name: str) -> tuple[np.ndarray, int, bool]:
@@ -172,11 +172,14 @@ def _c_squared(c: np.ndarray) -> np.ndarray:
     return c2
 
 
-def build_Tc(spec: ModelSpec | Sequence[ModelSpec]) -> Bidiagonal:
-    """The lower bidiagonal factor T_c with diagonal c and subdiagonal 1; stacks as build_Hc."""
+def build_Tc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
+    """The lower bidiagonal factor T_c with diagonal c and subdiagonal 1, dense; stacks as build_Hc."""
     c, m, single = _masses(spec, "T_c")
-    d = np.repeat(c, m, axis=1)
-    return Bidiagonal(_one(d, single), _one(np.ones_like(d[:, 1:]), single))
+    T = np.zeros((c.size, m, m))
+    i, j = np.arange(m), np.arange(m - 1)
+    T[:, i, i] = c
+    T[:, j + 1, j] = 1.0
+    return _one(T, single)
 
 
 def build_Wc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
@@ -196,12 +199,13 @@ def hc_spectrum(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """All 2m eigenvalues of H, ascending, via the bidiagonal SVD route.
 
     sigma(H) = +-sv(X) with X = D - B, so every eigenvalue, including a
-    denormal central pair, is computed to high relative accuracy.  A
-    stack of specs gives a (k, 2m) stack of spectra from one
-    bidiag_svd_hra call.
+    denormal central pair, is computed to high relative accuracy.  X's
+    bands are D's diagonal and a subdiagonal of 2s.  A stack of specs
+    gives a (k, 2m) stack of spectra, one bidiag_svd_hra call per spec.
     """
-    s = bidiag_svd_hra(_x_bidiagonal(spec))
-    return np.sort(np.concatenate([-s, s], axis=-1), axis=-1)
+    specs, single = _stack(spec)
+    s = np.array([bidiag_svd_hra(sp.diagonal, np.full(sp.m - 1, 2.0)) for sp in specs])
+    return _one(np.sort(np.concatenate([-s, s], axis=-1), axis=-1), single)
 
 
 def has_central_pair(m: int, c: float) -> bool:
@@ -681,7 +685,8 @@ def modified_spectrum_certified(spec: ModelSpec) -> CertifiedSpectrum:
     where spread is the widest cluster's extent (0 when every cluster holds
     one value or equal values, as at c = 0) and eps G covers the rounding
     of the shifts.  No matrix is formed and no LAPACK routine runs: O(m)
-    memory and O(m^2) flops in O(m) array steps.  A count that disagrees
+    memory (at most 4m shifts, each with one running count) and O(m^2)
+    flops in O(m) array steps.  A count that disagrees
     raises RootCountMismatch: the closed form is a theorem, so that is a bug.
     """
     m, c = spec.m, spec.c

@@ -1,11 +1,12 @@
 """Kernel linear algebra: decompositions, factors, and the HRA bidiagonal SVD."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gapcert import linalg
 from gapcert.errors import NotFinite, NotPSD, NotSymmetric
-from gapcert.linalg import Bidiagonal
 
 from helpers import rand_psd, rand_sym
 
@@ -60,21 +61,23 @@ def test_psd_sqrt_squares_back():
         linalg.psd_sqrt(1e-12 * np.diag([1.0, -1.0]))
 
 
-def test_bidiagonal_validation():
+def test_bidiagonal_validation(monkeypatch):
     with pytest.raises(ValueError):
-        Bidiagonal(np.ones(3), np.ones(3))
-    T = Bidiagonal(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]))
-    D = T.dense()
-    assert D[1, 0] == 4.0 and D[2, 1] == 5.0 and D[0, 1] == 0.0
+        linalg.bidiag_svd_hra(np.ones(3), np.ones(3))
+    # the dense fallback factors the upper bidiagonal with these bands
+    monkeypatch.setattr(linalg, "_kernels", lambda: None)
+    upper = np.array([[1.0, 4.0, 0.0], [0.0, 2.0, 5.0], [0.0, 0.0, 3.0]])
+    got = linalg.bidiag_svd_hra(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]))
+    assert np.array_equal(got, np.linalg.svd(upper, compute_uv=False))
 
 
 def test_bidiag_svd_matches_dense_at_moderate_scale():
     rng = np.random.default_rng(6)
     # an upper bidiagonal has its transpose's singular values, so lower input covers both
     for _ in range(2):
-        T = Bidiagonal(rng.standard_normal(8), rng.standard_normal(7))
-        got = linalg.bidiag_svd_hra(T)
-        want = np.sort(np.linalg.svd(T.dense(), compute_uv=False))
+        d, e = rng.standard_normal(8), rng.standard_normal(7)
+        got = linalg.bidiag_svd_hra(d, e)
+        want = np.sort(np.linalg.svd(np.diag(d) + np.diag(e, -1), compute_uv=False))
         assert np.allclose(np.sort(got), want, atol=1e-12 * max(1.0, want[-1]))
 
 
@@ -116,25 +119,11 @@ def test_bidiag_svd_high_relative_accuracy(m, frozen):
     # T is the chain factor whose smallest singular value is ~ 6.7e-16 at
     # m=50 and ~ 5.9e-31 at m=100; a dense eigensolver loses it entirely,
     # the HRA route keeps 15 digits
-    T = Bidiagonal(np.full(m, 0.5), np.ones(m - 1))
-    s = linalg.bidiag_svd_hra(T)
+    s = linalg.bidiag_svd_hra(np.full(m, 0.5), np.ones(m - 1))
     lam = float(s[-1]) ** 2
     oracle = _sturm_smallest_eig_W(m)
     assert abs(lam - oracle) / oracle < 1e-12
     assert float(s[-1]) == pytest.approx(frozen, rel=1e-12)
-
-
-def test_null_space_basis():
-    rng = np.random.default_rng(7)
-    M = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 6))
-    N = linalg.null_space_basis(M)
-    assert N.shape == (6, 3)
-    assert np.allclose(M @ N, 0.0, atol=1e-10 * linalg.op_norm(M))
-    assert np.allclose(N.T @ N, np.eye(3), atol=1e-12)
-    Z = linalg.null_space_basis(np.zeros((2, 4)))
-    assert Z.shape == (4, 4)
-    full = linalg.null_space_basis(np.eye(3))
-    assert full.shape == (3, 0)
 
 
 def _tridiagonal(a, e):
@@ -188,6 +177,21 @@ def test_sturm_count_input_checks():
     assert linalg.sturm_error_bound([1.0, -4.0]) < 1e-14
 
 
+def test_sturm_count_memory_is_per_lane():
+    # one running count per shift: no (n, lanes) history is stored
+    rng = np.random.default_rng(14)
+    n, lanes = 4000, 8000
+    a, e, x = rng.standard_normal(n), rng.standard_normal(n - 1), rng.uniform(-4.0, 4.0, lanes)
+    tracemalloc.start()
+    try:
+        counts = linalg.sturm_count(a, e, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (lanes,)
+    assert peak <= 8 * (8 * lanes), peak
+
+
 def test_tridiag_eigvalsh_matches_dense():
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 40):
@@ -196,11 +200,22 @@ def test_tridiag_eigvalsh_matches_dense():
         got = linalg.tridiag_eigvalsh(a, e)
         assert np.all(np.diff(got) >= 0.0)
         assert np.allclose(got, w, rtol=0.0, atol=4 * n * linalg.EPS * np.max(np.abs(w)))
-    assert linalg.tridiag_eigvalsh(np.zeros(0), np.zeros(0)).shape == (0,)
-    with pytest.raises(ValueError):
-        linalg.tridiag_eigvalsh([1.0, 2.0], [1.0, 1.0])
-    with pytest.raises(NotFinite):
-        linalg.tridiag_eigvalsh([1.0, np.inf], [1.0])
+    # every band kernel takes one matrix's bands: finite, 1-D, the off-diagonal one entry shorter
+    for kernel in (linalg.tridiag_eigvalsh, linalg.bidiag_svd_hra):
+        assert kernel(np.zeros(0), np.zeros(0)).shape == (0,)
+        for diag, offdiag in (
+            ([1.0, 2.0], [1.0, 1.0]),
+            ([1.0, 2.0], []),
+            (np.ones((2, 3)), np.ones((2, 2))),
+            (np.ones(3), np.ones((1, 2))),
+            (1.0, []),
+        ):
+            with pytest.raises(ValueError):
+                kernel(diag, offdiag)
+        with pytest.raises(NotFinite):
+            kernel([1.0, np.inf], [1.0])
+        with pytest.raises(NotFinite):
+            kernel([1.0, 2.0], [np.nan])
 
 
 def test_kernels_leave_their_inputs_unchanged():
@@ -209,22 +224,10 @@ def test_kernels_leave_their_inputs_unchanged():
     saved = a.copy(), e.copy()
     linalg.tridiag_eigvalsh(a, e)
     assert np.array_equal(a, saved[0]) and np.array_equal(e, saved[1])
-    d, f = rng.standard_normal((3, 9)), rng.standard_normal((3, 8))
+    d, f = rng.standard_normal(9), rng.standard_normal(8)
     saved = d.copy(), f.copy()
-    T = Bidiagonal(d, f)
-    linalg.bidiag_svd_hra(T)
-    linalg.bidiag_svd_hra(Bidiagonal(d[0], f[0]))
-    assert np.array_equal(T.diag, saved[0]) and np.array_equal(T.offdiag, saved[1])
+    linalg.bidiag_svd_hra(d, f)
     assert np.array_equal(d, saved[0]) and np.array_equal(f, saved[1])
-
-
-def test_stacked_bidiag_svd_equals_its_rows():
-    rng = np.random.default_rng(13)
-    d, e = rng.standard_normal((2, 3, 10)), rng.standard_normal((2, 3, 9))
-    stack = linalg.bidiag_svd_hra(Bidiagonal(d, e))
-    assert stack.shape == (2, 3, 10)
-    for i in np.ndindex(2, 3):
-        assert np.array_equal(stack[i], linalg.bidiag_svd_hra(Bidiagonal(d[i], e[i])))
 
 
 def test_kernel_failure_raises(monkeypatch):
@@ -235,4 +238,4 @@ def test_kernel_failure_raises(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         linalg.tridiag_eigvalsh([1.0, 2.0], [1.0])
     with pytest.raises(np.linalg.LinAlgError):
-        linalg.bidiag_svd_hra(Bidiagonal(np.ones((2, 3)), np.ones((2, 2))))
+        linalg.bidiag_svd_hra(np.ones(3), np.ones(2))

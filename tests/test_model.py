@@ -8,7 +8,7 @@ import pytest
 from gapcert import linalg, model
 from gapcert.cli import _build_parser, main
 from gapcert.errors import OutOfRegime, RootCountMismatch
-from gapcert.linalg import Bidiagonal, bidiag_svd_hra, tridiag_eigvalsh
+from gapcert.linalg import bidiag_svd_hra, tridiag_eigvalsh
 from gapcert.model import DisorderSpec, ModelSpec
 
 from helpers import count_factorizations
@@ -28,6 +28,11 @@ SIGMA_HALF = {50: 6.6613381477509392e-16, 100: 5.9164567891575885e-31}
 def involution(m: int) -> np.ndarray:
     I = np.eye(m)
     return np.block([[I, I], [I, -I]]) / np.sqrt(2.0)
+
+
+def _tc_singular_values(spec: ModelSpec) -> np.ndarray:
+    # T_c's bands: diagonal c, subdiagonal 1
+    return bidiag_svd_hra(np.full(spec.m, spec.c), np.ones(spec.m - 1))
 
 
 def test_model_spec_validation():
@@ -66,17 +71,17 @@ def test_unitary_equivalence_H_to_K():
 def test_x_block_is_twice_Tc():
     spec = ModelSpec(4, 0.3)
     X = model.build_Kc(spec)[:4, 4:]
-    assert np.allclose(X, 2.0 * model.build_Tc(spec).dense(), atol=0.0)
+    assert np.allclose(X, 2.0 * model.build_Tc(spec), atol=0.0)
     assert np.array_equal(np.triu(X, 1), np.zeros((4, 4)))  # lower bidiagonal
 
 
 def test_gram_identity():
     spec = ModelSpec(6, 0.7)
     W = model.build_Wc(spec)
-    Tm = Bidiagonal(np.full(6, -0.7), np.ones(5)).dense()
+    Tm = np.diag(np.full(6, -0.7)) + np.diag(np.ones(5), -1)
     assert np.allclose(W, Tm.T @ Tm, atol=1e-14)
     assert W[0, 0] == 0.7**2 + 1.0 and W[5, 5] == 0.7**2 and W[0, 1] == -0.7
-    sv = bidiag_svd_hra(model.build_Tc(spec))
+    sv = _tc_singular_values(spec)
     assert np.allclose(np.linalg.eigvalsh(W), np.sort(sv) ** 2, atol=1e-13)
 
 
@@ -90,11 +95,11 @@ def test_hc_spectrum_matches_dense_and_is_symmetric():
 
 def test_frozen_small_gaps_at_half():
     for m, lam in GAP_HALF.items():
-        sv = bidiag_svd_hra(model.build_Tc(ModelSpec(m, 0.5)))
+        sv = _tc_singular_values(ModelSpec(m, 0.5))
         lam1 = float(np.min(sv)) ** 2
         assert abs(lam1 - lam) <= 1e-9 * lam
     for m, sigma in SIGMA_HALF.items():
-        sv = bidiag_svd_hra(model.build_Tc(ModelSpec(m, 0.5)))
+        sv = _tc_singular_values(ModelSpec(m, 0.5))
         assert abs(float(np.min(sv)) - sigma) <= 1e-12 * sigma
 
 
@@ -141,7 +146,7 @@ def test_hyperbolic_root_deep_regime():
     assert abs(alpha1 - np.log(2.0)) < 1e-12  # alpha0 = arccosh(5/4) = ln 2
     assert abs(log_lam - (-69.89008220089809)) < 1e-9
     # independent route: square of the smallest singular value of T_c
-    sv = bidiag_svd_hra(model.build_Tc(ModelSpec(50, 0.5)))
+    sv = _tc_singular_values(ModelSpec(50, 0.5))
     assert abs(log_lam - 2.0 * np.log(float(np.min(sv)))) < 1e-8
 
 
@@ -583,17 +588,12 @@ def _bits(x) -> bytes:
 def test_stacked_builders_equal_scalar_ones(m):
     # a stack over masses holds, bit for bit, each mass's own matrix
     specs = [ModelSpec(m, c) for c in STACK_MASSES]
-    for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, model.build_Ktilde,
-               model.build_Wc, model.hc_spectrum, model.modified_spectrum_closed_form):
+    for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, model.build_Ktilde, model.build_Wc,
+               model.build_Tc, model.hc_spectrum, model.modified_spectrum_closed_form):
         stack = fn(specs)
         assert stack.shape[0] == len(specs), fn.__name__
         for spec, one in zip(specs, stack):
             assert _bits(one) == _bits(fn(spec)), (fn.__name__, spec)
-    T = model.build_Tc(specs)
-    for spec, d, e in zip(specs, T.diag, T.offdiag):
-        one = model.build_Tc(spec)
-        assert _bits(d) == _bits(one.diag) and _bits(e) == _bits(one.offdiag)
-    assert _bits(T.dense()) == _bits(np.array([model.build_Tc(s).dense() for s in specs]))
     # stacks over disorder draws
     laws = [ModelSpec(m, 0.0, DisorderSpec(-1.0, 2.0, seed)) for seed in (1, 2, 3)]
     for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, model.hc_spectrum):
@@ -814,7 +814,7 @@ def test_hyp_root_where_log_sinh_is_asymptotic(m, c):
     spec = ModelSpec(m, c)
     alpha1, log_lam = model.secular_solve(spec).hyp_root
     assert alpha1 >= 20.0 and 2.0 * m * -np.log(c) <= 600.0
-    want = 2.0 * np.log(float(bidiag_svd_hra(model.build_Tc(spec)).min()))
+    want = 2.0 * np.log(float(_tc_singular_values(spec).min()))
     assert abs(log_lam - want) <= 1e-15 * abs(want)
 
 
