@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from collections.abc import Sequence
@@ -56,20 +55,17 @@ def _fmt(v) -> str:
     return _column_format(v) % v
 
 
-def _csv(header: list[str], rows) -> str:
-    """CSV text; each column is printed with one %-format, chosen from its first value.
+def _csv(header: list[str], columns) -> str:
+    """CSV text from equal-length columns, each printed with one %-format chosen from its first value.
 
-    The whole body is formatted by one % over the flattened rows.
+    The columns fill one row-major list by slice assignment and one % formats it; bools print true/false.
     """
-    rows = list(rows)
-    if not rows:
-        return ",".join(header) + "\n"
-    bools = [isinstance(v, (bool, np.bool_)) for v in rows[0]]
-    if any(bools):
-        rows = [tuple(_fmt(v) if b else v for b, v in zip(bools, row)) for row in rows]
-    line = ",".join(_column_format(v) for v in rows[0])
-    body = "\n".join([line] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
-    return ",".join(header) + "\n" + body + "\n"
+    n, k = len(columns[0]), len(columns)
+    flat = [None] * (n * k)
+    for j, column in enumerate(columns):
+        flat[j::k] = [_fmt(v) for v in column] if n and isinstance(column[0], (bool, np.bool_)) else column
+    line = ",".join(_column_format(v) for v in flat[:k])
+    return ",".join(header) + "\n" + "".join([line + "\n"] * n) % tuple(flat)
 
 
 def _json(payload) -> str:
@@ -192,9 +188,9 @@ def _cmd_stokes(args) -> str:
     S = matio.read_block_saddle(args.file)
     ps = stokes.pencil_spectrum(S)
     if args.format == "csv":
-        rows = [(i + 1, "minus", float(v)) for i, v in enumerate(ps.lambda_minus)]
-        rows += [(i + 1, "plus", float(v)) for i, v in enumerate(ps.lambda_plus)]
-        return _csv(["index", "branch", "value"], rows)
+        lm, lp = ps.lambda_minus.tolist(), ps.lambda_plus.tolist()
+        index = [*range(1, len(lm) + 1), *range(1, len(lp) + 1)]
+        return _csv(["index", "branch", "value"], (index, ["minus"] * len(lm) + ["plus"] * len(lp), lm + lp))
     evals = S.eigvals_H
 
     def entry(name: str, r) -> dict:
@@ -227,9 +223,10 @@ def _cmd_secular(args) -> str:
         # a central pair below 10^LOG10_FLOOR puts the whole column on the log scale
         key = "lambda" if hyp is None or "lambda" in hyp else "log10_lambda"
         trig = lam if key == "lambda" else np.log10(lam)
-        rows = [] if hyp is None else [(hyp["alpha"], hyp[key], "hyp")]
-        rows += [(a, v, "trig") for a, v in zip(alphas, trig.tolist())]
-        return _csv(["k", "alpha", key, "branch"], [(k, *row) for k, row in enumerate(rows, 1)])
+        alpha, value, branch = alphas, trig.tolist(), ["trig"] * len(alphas)
+        if hyp is not None:
+            alpha, value, branch = [hyp["alpha"], *alpha], [hyp[key], *value], ["hyp", *branch]
+        return _csv(["k", "alpha", key, "branch"], (range(1, len(branch) + 1), alpha, value, branch))
     payload = {
         "m": args.m,
         "c": args.c,
@@ -259,7 +256,7 @@ def _cmd_modified(args) -> str:
     spec = model.ModelSpec(args.m, args.c)
     evals, certified_radius = model.modified_spectrum_certified(spec)
     if args.format == "csv":
-        return _csv(["index", "eigenvalue"], list(enumerate(evals, start=1)))
+        return _csv(["index", "eigenvalue"], (range(1, evals.size + 1), evals.tolist()))
     closed = model.modified_spectrum_closed_form(spec)
     radius = model.stable_gap(args.c)
     payload = {
@@ -279,8 +276,8 @@ def _cmd_modified(args) -> str:
 
 
 def _cmd_scan(args) -> str:
-    rows = model.gap_scan(args.M, args.delta, args.m, args.seed)
-    return _csv(["M", "variant", "index", "eigenvalue"], rows)
+    columns = model.gap_scan(args.M, args.delta, args.m, args.seed)
+    return _csv(["M", "variant", "index", "eigenvalue"], columns)
 
 
 VERIFY_TOLS = {
@@ -409,8 +406,9 @@ def _cmd_counterexamples(args) -> str:
     lines.append(f"# commuting contrast inverse_norm={_fmt(rep.commuting_inv_norm)}")
     verdict = "VIOLATED" if rep.conjecture_violated else "HOLDS"
     lines.append(f"# conjecture norm((I+AC)^-1) <= norm(I+AC): {verdict}")
-    rows = [(fam, float(t), float(v)) for fam in families for t, v in curves[fam]]
-    return "\n".join(lines) + "\n" + _csv(["family", "t", "min_abs_eigenvalue"], rows)
+    family = [fam for fam in families for _ in curves[fam]]
+    t, v = np.concatenate([curves[fam] for fam in families]).T.tolist()
+    return "\n".join(lines) + "\n" + _csv(["family", "t", "min_abs_eigenvalue"], (family, t, v))
 
 
 @functools.cache

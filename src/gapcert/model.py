@@ -671,45 +671,45 @@ def modified_spectrum_certified(spec: ModelSpec) -> CertifiedSpectrum:
     """sigma(H_tilde) from the closed form, proved by one Sturm count of ktilde_bands.
 
     The values are +-2 sqrt(lambda_k), the square roots of
-    modified_spectrum_closed_form.  With G the Gershgorin bound of the
-    bands and delta = 64 eps G, values whose intervals [v - delta, v +
-    delta] overlap form a cluster, and one sturm_count call counts the
-    eigenvalues below each cluster's two ends.  Each count must equal the
-    number of values below that end.  Then the j-th value, ascending, and
-    the j-th eigenvalue of the floating-point H_tilde lie in one cluster
-    widened by delta + beta, beta = sturm_error_bound of the bands (the
-    count's a priori backward error), so they differ by at most
-
-        certified_radius = spread + delta + beta + eps G,
-
-    where spread is the widest cluster's extent (0 when every cluster holds
-    one value or equal values, as at c = 0) and eps G covers the rounding
-    of the shifts.  No matrix is formed and no LAPACK routine runs: O(m)
-    memory (at most 4m shifts, each with one running count) and O(m^2)
-    flops in O(m) array steps.  A count that disagrees
-    raises RootCountMismatch: the closed form is a theorem, so that is a bug.
+    modified_spectrum_closed_form.  The bands' diagonal (2, 0, ..., 0, -2)
+    is minus its reversal and their off-diagonal (2c, 2, ..., 2, 2c) a
+    palindrome, so with J the reversal and S = diag((-1)^i), J K_tilde J =
+    -S K_tilde S holds exactly in floating point: the spectrum is its own
+    mirror about 0.  With G the Gershgorin bound and delta = 64 eps G,
+    positive values whose intervals [v - delta, v + delta] overlap form a
+    cluster (the lowest must start above 0), and sturm_count must find m plus
+    the number of positive values below each cluster's two ends.  Then the
+    j-th value, ascending, and the j-th eigenvalue of the floating-point
+    H_tilde lie in one cluster or its mirror widened by delta + beta, beta
+    = sturm_error_bound (the count's a priori backward error), so they
+    differ by at most spread + delta + beta + eps G = certified_radius,
+    where spread is the widest cluster's extent (0 when no cluster holds
+    two distinct values, as at c = 0) and eps G covers the rounding of the
+    shifts.  No matrix is formed and no LAPACK routine runs: at most 2m
+    shifts and O(m^2) flops in O(m) array steps.  Unmirrored bands or a
+    count that disagrees raise RootCountMismatch: the closed form is a
+    theorem, so that is a bug.
     """
     m, c = spec.m, spec.c
     # sqrt(4 lambda) is 2 sqrt(lambda) exactly: scaling by 4 commutes with rounding
     s = np.sqrt(modified_spectrum_closed_form(spec)[::2])
-    values = np.concatenate((-s[::-1], s))
     a, e = ktilde_bands(spec)
     ae = np.abs(e)
     gersh = float(np.max(np.abs(a) + np.concatenate(([0.0], ae)) + np.concatenate((ae, [0.0]))))
     delta = 64.0 * EPS * gersh
-    first = np.flatnonzero(np.concatenate(([True], np.diff(values) > 2.0 * delta)))
-    stop = np.append(first[1:], values.size)
-    counts = sturm_count(a, e, np.concatenate((values[first] - delta, values[stop - 1] + delta)))
-    want = np.concatenate((first, stop))
+    first = np.flatnonzero(np.concatenate(([True], np.diff(s) > 2.0 * delta)))
+    stop = np.append(first[1:], m)
+    shifts = np.concatenate((s[first] - delta, s[stop - 1] + delta))
+    if not (np.array_equal(a[::-1], -a) and np.array_equal(e[::-1], e) and shifts[0] > 0.0):
+        raise RootCountMismatch(f"H_tilde (m={m}, c={c}): its bands are not mirrored or a cluster spans 0")
+    counts = sturm_count(a, e, shifts)
+    want = m + np.concatenate((first, stop))
     if not np.array_equal(counts, want):
         j = int(np.flatnonzero(counts != want)[0])
-        end = "upper" if j >= first.size else "lower"
-        raise RootCountMismatch(
-            f"Sturm count of H_tilde (m={m}, c={c}) at the {end} end of cluster"
-            f" {j % first.size + 1} of {first.size}: {counts[j]} eigenvalues below, expected {want[j]}"
-        )
-    spread = float(np.max(values[stop - 1] - values[first]))
-    return CertifiedSpectrum(values, spread + delta + sturm_error_bound(e) + EPS * gersh)
+        raise RootCountMismatch(f"H_tilde (m={m}, c={c}): Sturm count {counts[j]} below {shifts[j]:.17g},"
+                                f" expected {want[j]}")
+    radius = float(np.max(s[stop - 1] - s[first])) + delta + sturm_error_bound(e) + EPS * gersh
+    return CertifiedSpectrum(np.concatenate((-s[::-1], s)), radius)
 
 
 def symbol_spectrum(c: float) -> tuple[tuple[float, float], tuple[tuple[float, float], tuple[float, float]]]:
@@ -773,22 +773,20 @@ def disorder_experiment(spec: ModelSpec) -> DisorderReport:
     )
 
 
-def gap_scan(M_list, delta: float, m: int, seed: int) -> list[tuple[float, str, int, float]]:
+def gap_scan(M_list, delta: float, m: int, seed: int) -> tuple[list, list, list, list]:
     """Spectra of H_omega and H_tilde_omega over a grid of disorder means.
 
     Each grid point M draws omega ~ U[M - delta, M + delta] once, from its
     own stream (seed + index), for both spectra.  H_omega's come from the
     bidiagonal SVD (hc_spectrum), H_tilde_omega's from the tridiagonal of
-    ktilde_bands (tridiag_eigvalsh); no 2m x 2m matrix is built.  Returns
-    rows (M, variant, index, eigenvalue) with 1-based ascending indices,
-    2m rows per variant per M.
+    ktilde_bands (tridiag_eigvalsh); no 2m x 2m matrix is built.  Returns four
+    columns (M, variant, index, eigenvalue): per M, H_omega's 2m eigenvalues
+    and then H_tilde_omega's, each ascending with 1-based indices.
     """
-    rows: list[tuple[float, str, int, float]] = []
+    means, variants, evals = [], [], []
     for i, M in enumerate(M_list):
         spec = ModelSpec(m, 0.0, DisorderSpec(M - delta, M + delta, seed + i))
-        for variant, evals in (
-            ("H", hc_spectrum(spec)),
-            ("Htilde", tridiag_eigvalsh(*ktilde_bands(spec))),
-        ):
-            rows.extend((float(M), variant, j + 1, float(v)) for j, v in enumerate(evals))
-    return rows
+        means += [float(M)] * (4 * m)
+        variants += ["H"] * (2 * m) + ["Htilde"] * (2 * m)
+        evals += hc_spectrum(spec).tolist() + tridiag_eigvalsh(*ktilde_bands(spec)).tolist()
+    return means, variants, list(range(1, 2 * m + 1)) * (2 * len(M_list)), evals

@@ -213,9 +213,9 @@ def test_csv_column_formats_match_per_value_fmt():
     ]
     header = ["b", "i", "f", "s", "g", "j", "h"]
     want = ",".join(header) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
-    assert cli._csv(header, rows) == want
+    assert cli._csv(header, list(zip(*rows))) == want
     assert want.splitlines()[1] == "true,1,0.10000000000000001,a,1e-300,-7,0.10000000149011612"
-    assert cli._csv(header, []) == ",".join(header) + "\n"
+    assert cli._csv(header, [[] for _ in header]) == ",".join(header) + "\n"
 
 
 def test_stokes_nab_violated_exit3(tmp_path, capsys):
@@ -382,6 +382,29 @@ def test_model_scan_row_count(capsys):
     assert len(lines) == 1 + 6 * 2 * 200
     variants = {line.split(",")[1] for line in lines[1:]}
     assert variants == {"H", "Htilde"}
+
+
+SCAN_M3_SEED1 = """\
+M,variant,index,eigenvalue
+0.5,H,1,-2.3568372639165829
+0.5,H,2,-1.7969121443980316
+0.5,H,3,-0.030017168882972272
+0.5,H,4,0.030017168882972272
+0.5,H,5,1.7969121443980316
+0.5,H,6,2.3568372639165829
+0.5,Htilde,1,-2.4388391484370766
+0.5,Htilde,2,-2.0599524561655369
+0.5,Htilde,3,-1.5996905590307606
+0.5,Htilde,4,1.5589298316135252
+0.5,Htilde,5,2.0641405153246359
+0.5,Htilde,6,2.4754118166952117
+"""
+
+
+def test_model_scan_frozen_text(capsys):
+    # the seed-1 draw on [0.4, 0.6]: H keeps its +- pairs, H_tilde loses them
+    code, out, err = run(capsys, "model", "scan", "-m", "3", "--M", "0.5", "--delta", "0.1", "--seed", "1")
+    assert (code, out, err) == (0, SCAN_M3_SEED1, "")
 
 
 def test_model_verify_passes(capsys):

@@ -561,7 +561,7 @@ def test_disorder_drawn_once_per_grid_point(monkeypatch):
         return draw(spec)
 
     monkeypatch.setattr(model, "draw_disorder", counted)
-    rows = model.gap_scan([0.5, 1.5], 0.3, 6, seed=2)
+    means, variants, _, evals = model.gap_scan([0.5, 1.5], 0.3, 6, seed=2)
     assert calls == [2, 3]
     calls.clear()
     spec = ModelSpec(6, 0.0, DisorderSpec(-1.0, 2.0, 5))
@@ -572,9 +572,10 @@ def test_disorder_drawn_once_per_grid_point(monkeypatch):
     assert np.array_equal(rep.eigenvalues, model.hc_spectrum(spec))
     assert np.array_equal(rep.modified_eigenvalues, tridiag_eigvalsh(*model.ktilde_bands(spec)))
     scan = ModelSpec(6, 0.0, DisorderSpec(0.2, 0.8, 2))
-    assert [v for M, variant, _, v in rows if M == 0.5 and variant == "H"] == model.hc_spectrum(scan).tolist()
+    rows = list(zip(means, variants, evals))
+    assert [v for M, variant, v in rows if M == 0.5 and variant == "H"] == model.hc_spectrum(scan).tolist()
     htilde = tridiag_eigvalsh(*model.ktilde_bands(scan)).tolist()
-    assert [v for M, variant, _, v in rows if M == 0.5 and variant == "Htilde"] == htilde
+    assert [v for M, variant, v in rows if M == 0.5 and variant == "Htilde"] == htilde
 
 
 STACK_MASSES = (0.0, 0.3, 0.5, 1.0, 1.7, 2.5)
@@ -690,12 +691,32 @@ def test_k0_square_defect_from_bands(monkeypatch):
 CERT_MASSES = (0.0, 1e-12, 1e-3, 0.5, 1.0 - 1e-12, 1.0, 1.5, 1e3, 1e150)
 
 
+def _all_cluster_certificate(spec: ModelSpec) -> tuple[np.ndarray, float]:
+    # the reference route: clusters over all 2m values, both halves Sturm-counted
+    eps = np.finfo(float).eps
+    s = np.sqrt(model.modified_spectrum_closed_form(spec)[::2])
+    values = np.concatenate((-s[::-1], s))
+    a, e = model.ktilde_bands(spec)
+    ae = np.abs(e)
+    gersh = float(np.max(np.abs(a) + np.concatenate(([0.0], ae)) + np.concatenate((ae, [0.0]))))
+    delta = 64.0 * eps * gersh
+    first = np.flatnonzero(np.concatenate(([True], np.diff(values) > 2.0 * delta)))
+    stop = np.append(first[1:], values.size)
+    counts = linalg.sturm_count(a, e, np.concatenate((values[first] - delta, values[stop - 1] + delta)))
+    assert np.array_equal(counts, np.concatenate((first, stop))), spec
+    spread = float(np.max(values[stop - 1] - values[first]))
+    return values, spread + delta + linalg.sturm_error_bound(e) + eps * gersh
+
+
 @pytest.mark.parametrize("m", [2, 3, 7, 50, 300])
 def test_certified_modified_spectrum_encloses_dense(m):
     eps = np.finfo(float).eps
     specs = [ModelSpec(m, c) for c in CERT_MASSES]
     for spec, wt in zip(specs, np.linalg.eigvalsh(model.build_Htilde(specs))):
         cert = model.modified_spectrum_certified(spec)
+        # counting one half of the mirrored spectrum certifies what counting both does, bit for bit
+        values, radius = _all_cluster_certificate(spec)
+        assert _bits(cert.values) == _bits(values) and cert.certified_radius == radius, spec
         norm = float(np.max(np.abs(wt)))
         # the certified radius plus dense eigvalsh's own backward error
         assert np.max(np.abs(cert.values - wt)) <= cert.certified_radius + 2 * m * eps * norm, spec
@@ -732,6 +753,44 @@ def test_certified_modified_spectrum_count_mismatch(monkeypatch):
         model.modified_spectrum_certified(ModelSpec(4, 0.0, DisorderSpec(-1.0, 1.0, 0)))
     with pytest.raises(OverflowError):
         model.modified_spectrum_certified(ModelSpec(3, 1e200))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 50, 300])
+def test_ktilde_spectrum_is_mirrored(m):
+    # the negative half of sigma(K_tilde) mirrors the positive half, so m + (the
+    # values below x) eigenvalues lie below each shift x > 0 and the rest above -x
+    for c in CERT_MASSES:
+        a, e = model.ktilde_bands(ModelSpec(m, c))
+        s = model.modified_spectrum_certified(ModelSpec(m, c)).values[m:]
+        edges = np.concatenate(([0.0], s))
+        gaps = np.diff(edges) > 1e-9 * s[-1]
+        x = ((edges[:-1] + edges[1:]) / 2.0)[gaps]
+        below = linalg.sturm_count(a, e, x)
+        assert np.array_equal(below, m + np.flatnonzero(gaps)), (m, c)
+        assert np.array_equal(linalg.sturm_count(a, e, -x), 2 * m - below), (m, c)
+
+
+@pytest.mark.parametrize("patch", ["offdiag_palindrome", "diag_sign_reversal", "zero_value"])
+def test_certified_modified_spectrum_needs_mirrored_bands(monkeypatch, patch):
+    # the band patches move no eigenvalue past a cluster end, so every positive-cluster
+    # count stays right and only the mirror check can object; a zero value puts the
+    # lowest cluster across 0
+    bands, lam = model.ktilde_bands, model.lambda_of_alpha
+
+    def patched_bands(spec):
+        a, e = bands(spec)
+        if patch == "offdiag_palindrome":
+            e[-1] = np.nextafter(e[-1], np.inf)
+        else:
+            a[1] = 1e-300
+        return a, e
+
+    if patch == "zero_value":
+        monkeypatch.setattr(model, "lambda_of_alpha", lambda c, al: np.where(al == al[0], 0.0, lam(c, al)))
+    else:
+        monkeypatch.setattr(model, "ktilde_bands", patched_bands)
+    with pytest.raises(RootCountMismatch, match="not mirrored or a cluster spans 0"):
+        model.modified_spectrum_certified(ModelSpec(20, 0.7))
 
 
 def test_disorder_range_must_be_finite():
@@ -797,14 +856,16 @@ def test_disorder_experiment():
 
 
 def test_gap_scan():
-    rows = model.gap_scan([0.0, 2.0], 0.5, 4, seed=3)
-    assert len(rows) == 2 * 2 * 8
-    assert rows == model.gap_scan([0.0, 2.0], 0.5, 4, seed=3)
-    first = [r for r in rows if r[0] == 0.0 and r[1] == "H"]
-    evals = model.hc_spectrum(ModelSpec(4, 0.0, DisorderSpec(-0.5, 0.5, 3)))
-    assert [r[2] for r in first] == list(range(1, 9))
-    assert np.allclose([r[3] for r in first], evals, atol=0.0)
-    assert {r[1] for r in rows} == {"H", "Htilde"}
+    columns = model.gap_scan([0.0, 2.0], 0.5, 4, seed=3)
+    means, variants, index, evals = columns
+    assert [len(column) for column in columns] == [2 * 2 * 8] * 4
+    assert columns == model.gap_scan([0.0, 2.0], 0.5, 4, seed=3)
+    assert means == [0.0] * 16 + [2.0] * 16
+    assert variants == (["H"] * 8 + ["Htilde"] * 8) * 2
+    assert index == list(range(1, 9)) * 4
+    assert evals[:8] == model.hc_spectrum(ModelSpec(4, 0.0, DisorderSpec(-0.5, 0.5, 3))).tolist()
+    last = ModelSpec(4, 0.0, DisorderSpec(1.5, 2.5, 4))
+    assert evals[24:] == tridiag_eigvalsh(*model.ktilde_bands(last)).tolist()
 
 
 @pytest.mark.parametrize("m, c", [(2, 1e-10), (3, 1e-12), (5, 1e-15), (14, 1e-9)])
