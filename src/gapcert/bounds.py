@@ -53,6 +53,17 @@ def _min_eig(w: np.ndarray, name: str) -> float:
     return float(w[0])
 
 
+def check_shapes(A_shape: tuple[int, ...], B_shape: tuple[int, ...], C_shape: tuple[int, ...]) -> None:
+    """The shapes H = [[A, B], [B^T, -C]] needs: A and C square, B m x k.
+
+    Checked before any block is factorized.
+    """
+    linalg.require_square(A_shape, "A")
+    linalg.require_square(C_shape, "C")
+    if tuple(B_shape) != (A_shape[0], C_shape[0]):
+        raise DimensionMismatch(f"B must be {A_shape[0]}x{C_shape[0]}, got {B_shape[0]}x{B_shape[1]}")
+
+
 @dataclass(frozen=True)
 class BlockSaddle:
     """Blocks of H = [[A, B], [B^T, -C]]; A and C symmetric positive semidefinite.
@@ -67,16 +78,13 @@ class BlockSaddle:
     C: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = linalg.require_finite(self.A, "A")
+        C = linalg.require_finite(self.C, "C")
+        B = np.atleast_2d(linalg.require_finite(self.B, "B"))
+        check_shapes(A.shape, B.shape, C.shape)
         eig_A = linalg.sym_eig(A, "A", psd=True)
-        C = np.asarray(self.C, dtype=float)
         C_equals_A = C.shape == A.shape and C.tobytes() == A.tobytes()
         eig_C = eig_A if C_equals_A else linalg.sym_eig(C, "C", psd=True)
-        B = np.atleast_2d(linalg.require_finite(self.B, "B"))
-        if B.shape != (A.shape[0], C.shape[0]):
-            raise DimensionMismatch(
-                f"B must be {A.shape[0]}x{C.shape[0]}, got {B.shape[0]}x{B.shape[1]}"
-            )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)

@@ -31,17 +31,24 @@ def require_finite(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def require_square(shape: tuple[int, ...], name: str = "matrix") -> None:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise NotSymmetric(f"{name} must be square, got shape {shape}")
+
+
 def sym_eig(M: np.ndarray, name: str = "matrix", psd: bool = False) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix, values ascending.
 
     The package's one symmetry and semidefiniteness check.  Both
     tolerances are relative to the matrix's own scale: a symmetry defect
     above 1e-12 of it fails, and with psd=True so does an eigenvalue below
-    -1e-10 of it.
+    -1e-10 of it.  A matrix of +0.0 entries gets (0, I) without LAPACK.
     """
     M = require_finite(M, name)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSymmetric(f"{name} must be square, got shape {M.shape}")
+    require_square(M.shape, name)
+    if not M.any() and not np.signbit(M).any():
+        # what LAPACK returns for a +0.0 matrix; a -0.0 entry gives -0.0 eigenvalues
+        return EigenDecomposition(np.zeros(M.shape[0]), np.eye(M.shape[0]))
     scale = op_norm_bound(M)
     defect = np.max(np.abs(M - M.T)) if M.size else 0.0
     if defect > 1e-12 * scale:

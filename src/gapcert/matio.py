@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import BlockSaddle
+from .bounds import BlockSaddle, check_shapes
 from .errors import ParseError
 
 
@@ -51,7 +51,8 @@ def _parse_body(body: list[str], cols: int) -> np.ndarray:
     raise ParseError(f"matrix body does not parse as {len(body)}x{cols}")
 
 
-def _parse_matrix_at(lines: list[str], pos: int) -> tuple[np.ndarray, int]:
+def _section_at(lines: list[str], pos: int) -> tuple[list[str], int]:
+    """The header and body lines of the matrix headed at lines[pos], and its column count."""
     if pos >= len(lines):
         raise ParseError("expected a matrix header, got end of input")
     header = lines[pos].split()
@@ -65,16 +66,21 @@ def _parse_matrix_at(lines: list[str], pos: int) -> tuple[np.ndarray, int]:
         raise ParseError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if pos + 1 + rows > len(lines):
         raise ParseError(f"matrix body truncated: expected {rows} rows")
-    data = _parse_body(lines[pos + 1 : pos + 1 + rows], cols)
+    return lines[pos : pos + 1 + rows], cols
+
+
+def _parse_section(section: list[str], cols: int) -> np.ndarray:
+    data = _parse_body(section[1:], cols)
     if not np.all(np.isfinite(data)):
         raise ParseError("matrix contains non-finite entries")
-    return data, pos + 1 + rows
+    return data
 
 
 def parse_matrix(text: str) -> np.ndarray:
     lines = _logical_lines(text)
-    M, pos = _parse_matrix_at(lines, 0)
-    if pos != len(lines):
+    section, cols = _section_at(lines, 0)
+    M = _parse_section(section, cols)
+    if len(section) != len(lines):
         raise ParseError("trailing content after matrix body")
     return M
 
@@ -88,8 +94,16 @@ def format_matrix(M: np.ndarray) -> str:
 
 
 def parse_block_saddle(text: str) -> BlockSaddle:
+    """The saddle a block file describes.
+
+    A section whose header and body lines repeat an earlier section's
+    (the Kirsch form C = A) takes a copy of that section's array instead
+    of a second parse.  A ``zero k`` block is built only once B's shape
+    admits it.
+    """
     lines = _logical_lines(text)
-    sections: dict[str, np.ndarray] = {}
+    sections: dict[str, np.ndarray | int] = {}
+    parsed: list[tuple[list[str], np.ndarray]] = []  # each matrix section's lines and array
     pos = 0
     while pos < len(lines):
         name = lines[pos]
@@ -108,14 +122,25 @@ def parse_block_saddle(text: str) -> BlockSaddle:
                 raise ParseError(f"zero block size must be an integer, got {parts[1]!r}") from None
             if k < 1:
                 raise ParseError(f"zero block size must be positive, got {k}")
-            sections[name] = np.zeros((k, k))
+            sections[name] = k  # built once B's shape admits it
             pos += 1
+            continue
+        section, cols = _section_at(lines, pos)
+        earlier = next((M for seen, M in parsed if seen == section), None)
+        if earlier is None:
+            sections[name] = _parse_section(section, cols)
+            parsed.append((section, sections[name]))
         else:
-            sections[name], pos = _parse_matrix_at(lines, pos)
+            sections[name] = earlier.copy()
+        pos += len(section)
     missing = [n for n in ("A", "B", "C") if n not in sections]
     if missing:
         raise ParseError(f"missing section(s): {', '.join(missing)}")
-    return BlockSaddle(sections["A"], sections["B"], sections["C"])
+    A, B, C = sections["A"], sections["B"], sections["C"]
+    if isinstance(C, int):
+        check_shapes(A.shape, B.shape, (C, C))
+        C = np.zeros((C, C))
+    return BlockSaddle(A, B, C)
 
 
 def read_block_saddle(path) -> BlockSaddle:

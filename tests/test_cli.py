@@ -538,6 +538,37 @@ def test_each_saddle_factorized_once(tmp_path, capsys, monkeypatch):
     assert sum(counts.values()) <= 7, counts
 
 
+def test_stokes_all_factorizes_the_zero_block_not_at_all(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 6
+    f = write_block(tmp_path / "s.txt", rand_pd(rng, n), rng.standard_normal((n, n)) + 4.0 * np.eye(n))
+    counts = count_factorizations(monkeypatch)
+    code, out, _ = run(capsys, "stokes", f, "--method", "all")
+    assert code == 0 and all("skipped" not in v for v in json.loads(out)["intervals"].values())
+    # eigh A only: C = zero 6 gets its eigenpairs without LAPACK
+    assert counts["eigh"] == 1, counts
+
+
+@pytest.mark.parametrize("k", [2500, 10_000_000])
+def test_zero_block_that_B_rules_out_exits_3_at_once(tmp_path, capsys, monkeypatch, k):
+    f = tmp_path / "mismatch.txt"
+    f.write_text(f"A\n2 2\n1 0\n0 1\nB\n2 1\n1\n0\nC\nzero {k}\n")
+    counts = count_factorizations(monkeypatch)
+    code, out, err = run(capsys, "bounds", str(f), "--method", "all")
+    assert (code, out, err) == (3, "", f"error: B must be 2x{k}, got 2x1\n")
+    assert sum(counts.values()) == 0, counts
+
+
+def test_kirsch_C_differing_in_last_token_exits_3(tmp_path, capsys):
+    A = np.diag([1.0, 2.0])
+    f = write_block(tmp_path / "k.txt", A, np.diag([1.0, 3.0]), A)
+    text = Path(f).read_text()
+    f = tmp_path / "k1.txt"
+    f.write_text(text[: text.rindex(" ")] + " 2.0000000000000004\n")
+    code, out, err = run(capsys, "bounds", str(f), "--method", "kirsch")
+    assert (code, out, err) == (3, "", "error: kirsch form needs square blocks with C = A\n")
+
+
 def run_child(source: str):
     """Run source in a fresh interpreter with gapcert importable; return its last line as JSON."""
     src = str(Path(gapcert.__file__).resolve().parents[1])

@@ -8,7 +8,7 @@ import pytest
 from gapcert import linalg
 from gapcert.errors import NotFinite, NotPSD, NotSymmetric
 
-from helpers import rand_psd, rand_sym
+from helpers import count_factorizations, rand_psd, rand_sym
 
 
 def test_require_finite_rejects_nan_and_inf():
@@ -39,6 +39,28 @@ def test_sym_eig_rejects_asymmetric():
 def test_sym_eig_rejects_rectangular():
     with pytest.raises(NotSymmetric, match=r"^matrix must be square, got shape \(2, 3\)$"):
         linalg.sym_eig(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 71), 100, 126, 200, 256, 317, 400])
+def test_sym_eig_zero_block_is_what_lapack_returns(n):
+    # the +0.0 shortcut gives eigh's bits: values, vectors and the sign of every zero
+    w, V = linalg.sym_eig(np.zeros((n, n)), psd=True)
+    w0, V0 = np.linalg.eigh(np.zeros((n, n)))
+    assert (w.dtype, w.shape, V.dtype, V.shape) == (w0.dtype, w0.shape, V0.dtype, V0.shape)
+    assert w.tobytes() == w0.tobytes() and V.tobytes() == V0.tobytes()
+
+
+def test_sym_eig_zero_block_skips_lapack_only_for_positive_zeros(monkeypatch):
+    counts = count_factorizations(monkeypatch)
+    linalg.sym_eig(np.zeros((5, 5)))
+    assert sum(counts.values()) == 0, counts
+    for M in (-np.zeros((5, 5)), np.zeros((5, 5))):
+        M[1, 3] = M[3, 1] = -0.0
+        counts.clear()
+        w, V = linalg.sym_eig(M)
+        assert counts == {"eigh": 1}
+        w0, V0 = np.linalg.eigh(M)
+        assert w.tobytes() == w0.tobytes() and V.tobytes() == V0.tobytes()
 
 
 def test_op_norm_matches_svd():

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from gapcert import matio
-from gapcert.errors import NotPSD, ParseError
+from gapcert.bounds import BlockSaddle
+from gapcert.errors import DimensionMismatch, NotPSD, ParseError
+
+from helpers import count_factorizations
 
 
 def test_matrix_round_trip():
@@ -146,3 +149,66 @@ def test_zero_c_section_errors(line, message):
 def test_seventeen_digit_round_trip():
     M = np.array([[1.0 / 3.0, np.pi], [np.e, 2.0 ** -52]])
     assert np.array_equal(matio.parse_matrix(matio.format_matrix(M)), M)
+
+
+def _count_body_parses(monkeypatch) -> list:
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    return calls
+
+
+KIRSCH_A = np.array([[2.0, -1.0 / 3.0], [-1.0 / 3.0, 1.0]])
+
+
+def test_repeated_section_parsed_once(monkeypatch):
+    A, B = matio.format_matrix(KIRSCH_A), matio.format_matrix(np.diag([1.0, 3.0]))
+    results = []
+    for text in (f"A\n{A}B\n{B}C\n{A}", f"C\n{A}B\n{B}A\n{A}"):
+        calls = _count_body_parses(monkeypatch)
+        S = matio.parse_block_saddle(text)
+        assert len(calls) == 2
+        assert S.C_equals_A and S.C.tobytes() == S.A.tobytes() == KIRSCH_A.tobytes()
+        assert not np.shares_memory(S.C, S.A)
+        results.append(S)
+    # either order gives the same saddle
+    assert all(np.array_equal(getattr(results[0], n), getattr(results[1], n)) for n in "ABC")
+
+
+def test_section_repeat_ignores_comment_lines(monkeypatch):
+    A, B = matio.format_matrix(KIRSCH_A), matio.format_matrix(np.eye(2))
+    header, row1, row2 = A.splitlines()
+    C = f"{header}\n{row1}  # first row\n# an interleaved note\n{row2}\n"
+    calls = _count_body_parses(monkeypatch)
+    S = matio.parse_block_saddle(f"A\n{A}B\n{B}C\n{C}")
+    assert len(calls) == 2 and S.C_equals_A and not np.shares_memory(S.C, S.A)
+
+
+def test_section_differing_in_last_token_parsed_in_full(monkeypatch):
+    A, B = matio.format_matrix(KIRSCH_A), matio.format_matrix(np.eye(2))
+    C = A[: A.rindex(" ")] + " 1.0000000000000002\n"
+    calls = _count_body_parses(monkeypatch)
+    S = matio.parse_block_saddle(f"A\n{A}B\n{B}C\n{C}")
+    assert len(calls) == 3 and not S.C_equals_A
+    assert S.C[1, 1] == np.nextafter(1.0, 2.0) and np.array_equal(S.C[0], S.A[0])
+
+
+@pytest.mark.parametrize("k", [2500, 10_000_000])
+def test_zero_block_checked_against_B_before_it_is_built(monkeypatch, k):
+    counts = count_factorizations(monkeypatch)
+    zeros = []
+    np_zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda *a, **kw: zeros.append(a) or np_zeros(*a, **kw))
+    text = f"A\n2 2\n1 0\n0 1\nB\n2 1\n1\n0\nC\nzero {k}\n"
+    with pytest.raises(DimensionMismatch, match=f"^B must be 2x{k}, got 2x1$"):
+        matio.parse_block_saddle(text)
+    assert zeros == [] and sum(counts.values()) == 0, counts
+
+
+def test_block_shapes_checked_before_any_factorization(monkeypatch):
+    counts = count_factorizations(monkeypatch)
+    with pytest.raises(DimensionMismatch, match="^B must be 2x300, got 2x1$"):
+        BlockSaddle(np.eye(2), np.ones((2, 1)), np.eye(300))
+    with pytest.raises(DimensionMismatch, match="^B must be 300x2, got 2x2$"):
+        BlockSaddle(np.eye(300), np.ones((2, 2)), np.eye(2))
+    assert sum(counts.values()) == 0, counts
