@@ -27,19 +27,6 @@ from .errors import (
 )
 
 
-def _psd_pair(A: np.ndarray, C: np.ndarray):
-    """Validate two equal-shaped positive semidefinite blocks.
-
-    Returns A, C as arrays and their eigenpairs.
-    """
-    A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
-    eig_A = linalg.sym_eig(A, "A", psd=True)
-    eig_C = linalg.sym_eig(C, "C", psd=True)
-    if A.shape != C.shape:
-        raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
-    return A, C, eig_A, eig_C
-
-
 def _read_only(arrays):
     # cached factors are shared by every certificate that reads them
     for a in arrays:
@@ -200,30 +187,6 @@ def stretch_certificate(H: BlockSaddle) -> GapCertificate:
     )
 
 
-def inv_IplusAC_bound(A: np.ndarray, C: np.ndarray) -> float:
-    """Upper bound on ||(I + AC)^{-1}|| for positive semidefinite A, C.
-
-    Takes the best of three factorized estimates over the denominator
-    1 + min sigma(AC); with L L^T = A and M M^T = C the numerators are
-    ||A||^(1/2)||L^T C||, ||C||^(1/2)||A M|| and
-    ||A||^(1/2)||C||^(1/2)||L^T M||.
-    """
-    A, C, (wa, VA), (wc, VC) = _psd_pair(A, C)
-    wa, wc = np.clip(wa, 0.0, None), np.clip(wc, 0.0, None)
-    FA, FC = VA * np.sqrt(wa), VC * np.sqrt(wc)
-    RA = FA @ VA.T
-    L = FA[:, ~linalg.negligible(wa)]
-    M = FC[:, ~linalg.negligible(wc)]
-    w = np.linalg.eigvalsh(RA @ C @ RA)
-    den = 1.0 + max(float(w[0]) if w.size else 0.0, 0.0)
-    na = float(wa[-1]) if wa.size else 0.0
-    nc = float(wc[-1]) if wc.size else 0.0
-    t1 = np.sqrt(na) * linalg.op_norm(L.T @ C)
-    t2 = np.sqrt(nc) * linalg.op_norm(A @ M)
-    t3 = np.sqrt(na * nc) * linalg.op_norm(L.T @ M)
-    return 1.0 + min(t1, t2, t3) / den
-
-
 def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     """Gap certificate driven by invertibility of B rather than of A and C.
 
@@ -357,7 +320,11 @@ def func_calc_AC(A: np.ndarray, C: np.ndarray, f0: float, f1) -> np.ndarray:
     Meaningful for functions with f(x) = f0 + x f1(x); the inner argument
     is symmetric PSD, so f1 only ever sees the nonnegative eigenvalues.
     """
-    A, C, _, (wc, VC) = _psd_pair(A, C)
+    A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
+    if A.shape != C.shape:
+        raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
+    linalg.sym_eig(A, "A", psd=True)  # the symmetric PSD check; only C's eigenpairs are used
+    wc, VC = linalg.sym_eig(C, "C", psd=True)
     R = (VC * np.sqrt(np.clip(wc, 0.0, None))) @ VC.T
     X = R @ A @ R  # symmetric up to rounding of order eps ||A|| ||C||, not of ||X||
     w, V = np.linalg.eigh((X + X.T) / 2.0)

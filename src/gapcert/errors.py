@@ -50,20 +50,12 @@ class NegativeDiscriminant(ValueError):
     """Closed-form quartic discriminant is negative; parameter set inconsistent."""
 
 
-class DegenerateDirection(ValueError):
-    """Rayleigh discriminant vanishes along the sampled direction."""
-
-
 class NABViolated(ValueError):
     """Null spaces of A and B^T intersect nontrivially."""
 
 
 class RankDeficient(ValueError):
     """Block lacks the full rank the estimate requires."""
-
-
-class EtaOutOfRange(ValueError):
-    """Relative perturbation size must lie in [0, 1)."""
 
 
 class OutOfRegime(ValueError):

@@ -76,23 +76,6 @@ def _parse_section(section: list[str], cols: int) -> np.ndarray:
     return data
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    lines = _logical_lines(text)
-    section, cols = _section_at(lines, 0)
-    M = _parse_section(section, cols)
-    if len(section) != len(lines):
-        raise ParseError("trailing content after matrix body")
-    return M
-
-
-def format_matrix(M: np.ndarray) -> str:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = [f"{M.shape[0]} {M.shape[1]}"]
-    for row in M:
-        lines.append(" ".join("%.17g" % x for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_block_saddle(text: str) -> BlockSaddle:
     """The saddle a block file describes.
 
@@ -151,11 +134,3 @@ def read_block_saddle(path) -> BlockSaddle:
             raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     return parse_block_saddle(text)
 
-
-def format_block_saddle(H: BlockSaddle) -> str:
-    parts = ["A\n", format_matrix(H.A), "B\n", format_matrix(H.B)]
-    if np.any(H.C):
-        parts += ["C\n", format_matrix(H.C)]
-    else:
-        parts += ["C\n", f"zero {H.C.shape[0]}\n"]
-    return "".join(parts)

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, linalg
-from .errors import (
-    DegenerateDirection,
-    EtaOutOfRange,
-    NABViolated,
-    NotDefinite,
-    RankDeficient,
-)
+from .errors import NABViolated, NotDefinite, RankDeficient
 
 
 class StokesMatrix(bounds.BlockSaddle):
@@ -73,40 +67,6 @@ class IntervalPair:
             "i_minus": [self.i_minus[0], self.i_minus[1]],
             "i_plus": [self.i_plus[0], self.i_plus[1]],
         }
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise EtaOutOfRange(f"eta must lie in [0, 1), got {self.eta}")
-
-
-def rayleigh_p(x: np.ndarray, S: bounds.BlockSaddle) -> tuple[float, float]:
-    """Branch functionals p_plus(x) >= 0 >= p_minus(x) of the pencil at x.
-
-    p_pm(x) = (x^T A x pm sqrt((x^T A x)^2 + 4 ||B^T x||^2)) / 2.
-    x must be a unit vector; a discriminant below 1e-12 of the blocks'
-    scale, squared, means x lies in N(A) cap N(B^T) and the direction is
-    degenerate.  Scaling A and B by t > 0 scales both functionals by t.
-    """
-    x = linalg.require_finite(np.asarray(x, dtype=float).ravel(), "x")
-    if x.size != S.m:
-        raise ValueError(f"x must have length {S.m}, got {x.size}")
-    nx = float(np.linalg.norm(x))
-    if abs(nx - 1.0) > 1e-12:
-        raise ValueError(f"x must be a unit vector, got norm {nx!r}")
-    a = float(x @ S.A @ x)
-    b2 = float(np.sum((S.B.T @ x) ** 2))
-    delta = a * a + 4.0 * b2
-    # A, B and the functionals share one unit, so delta carries its square
-    scale = linalg.op_norm_bound(S.A) + linalg.op_norm_bound(S.B)
-    if delta <= (1e-12 * scale) ** 2:
-        raise DegenerateDirection("discriminant vanishes: x in N(A) and N(B^T)")
-    root = float(np.sqrt(delta))
-    return (a + root) / 2.0, (a - root) / 2.0
 
 
 def _require_zero_C(S: bounds.BlockSaddle) -> None:
@@ -227,21 +187,3 @@ def new_gap_estimate(S: bounds.BlockSaddle) -> bounds.GapCertificate:
         quantities={"alpha": alpha, "beta1": beta1},
     )
 
-
-def perturbation_bounds(
-    base: PencilSpectrum, spec: PerturbationSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relative enclosures for the branches after an eta-sized perturbation.
-
-    For perturbations with |x^T At x| <= eta x^T A x and ||Bt^T x|| <=
-    eta ||B^T x|| scaling both blocks jointly, each positive eigenvalue
-    lands in [(1-eta) lam, (1+eta) lam] and each negative one in
-    [(1+eta)/(1-eta) lam, (1-eta)/(1+eta) lam].  Returns (minus, plus)
-    arrays of shape (m, 2) aligned with the branch vectors of base.
-    """
-    e = spec.eta
-    lm = base.lambda_minus
-    lp = base.lambda_plus
-    minus = np.column_stack([(1.0 + e) / (1.0 - e) * lm, (1.0 - e) / (1.0 + e) * lm])
-    plus = np.column_stack([(1.0 - e) * lp, (1.0 + e) * lp])
-    return minus, plus

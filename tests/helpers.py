@@ -39,6 +39,20 @@ def violations(evals: np.ndarray, lo: float, hi: float, nonzero_only: bool = Fal
     return int(inside.size)
 
 
+def matrix_text(M) -> str:
+    """A matrix section: header ``rows cols``, then each row with every entry written %.17g."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    rows = (" ".join("%.17g" % x for x in row) for row in M)
+    return "\n".join([f"{M.shape[0]} {M.shape[1]}", *rows]) + "\n"
+
+
+def block_text(A, B, C=None) -> str:
+    """A block file for H = [[A, B], [B^T, -C]]; C=None writes the section ``zero k``."""
+    k = np.atleast_2d(np.asarray(B, dtype=float)).shape[1]
+    C_text = f"zero {k}\n" if C is None else matrix_text(C)
+    return f"A\n{matrix_text(A)}B\n{matrix_text(B)}C\n{C_text}"
+
+
 def count_factorizations(monkeypatch) -> Counter:
     """Count numpy.linalg factorizations (and 2-norms) by kind while monkeypatch is active.
 

@@ -66,7 +66,7 @@ def test_B_full_rank_is_decided_at_the_larger_dimension():
             "dim N(A) = 1 differs from dim N(C) = 0",
         ),
         (
-            lambda: bounds.inv_IplusAC_bound(np.eye(2), np.eye(3)),
+            lambda: bounds.func_calc_AC(np.eye(2), np.eye(3), 1.0, lambda x: 1.0),
             DimensionMismatch,
             "A and C must share a shape, got (2, 2) and (3, 3)",
         ),
@@ -160,20 +160,6 @@ def test_stretch_resolvent_bound_property():
         lam0 = cert.quantities["lambda0"]
         dist = np.min(np.abs(evals - lam0))
         assert cert.inv_norm_bound * dist >= 1.0 - 1e-10
-
-
-def test_inv_IplusAC_identity_pair():
-    assert bounds.inv_IplusAC_bound(np.eye(3), np.eye(3)) == pytest.approx(1.5)
-
-
-def test_inv_IplusAC_bound_property():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        A, C = rand_psd(rng, n), rand_psd(rng, n)
-        est = bounds.inv_IplusAC_bound(A, C)
-        true = linalg.op_norm(np.linalg.inv(np.eye(n) + A @ C))
-        assert true <= est * (1.0 + 1e-10)
 
 
 def test_omladic_growth():

@@ -12,23 +12,16 @@ import numpy as np
 import pytest
 
 import gapcert
-from gapcert import bounds, cli, matio, model
+from gapcert import bounds, cli, model
 from gapcert.cli import main
 
-from helpers import count_factorizations, rand_pd
+from helpers import block_text, count_factorizations, rand_pd
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def write_block(path, A, B, C="zero"):
-    parts = ["A\n", matio.format_matrix(np.asarray(A, dtype=float))]
-    parts += ["B\n", matio.format_matrix(np.asarray(B, dtype=float))]
-    if isinstance(C, str):
-        k = np.atleast_2d(np.asarray(B, dtype=float)).shape[1]
-        parts += ["C\n", f"zero {k}\n"]
-    else:
-        parts += ["C\n", matio.format_matrix(np.asarray(C, dtype=float))]
-    path.write_text("".join(parts))
+    path.write_text(block_text(A, B, None if isinstance(C, str) else C))
     return str(path)
 
 

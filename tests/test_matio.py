@@ -1,4 +1,4 @@
-"""Matrix and block saddle text formats: round trips and parse failures."""
+"""Block saddle text format: round trips and parse failures."""
 
 import re
 
@@ -6,23 +6,27 @@ import numpy as np
 import pytest
 
 from gapcert import matio
-from gapcert.bounds import BlockSaddle
+from gapcert.bounds import BlockSaddle, func_calc_AC
 from gapcert.errors import DimensionMismatch, NotPSD, ParseError
 
-from helpers import count_factorizations
+from helpers import block_text, count_factorizations, matrix_text
+
+
+def _parse_B(matrix: str, m: int = 1, k: int = 1) -> np.ndarray:
+    # the matrix text as the last section, B, of an m x k saddle with A = I and C = 0
+    return matio.parse_block_saddle(f"A\n{matrix_text(np.eye(m))}C\nzero {k}\nB\n{matrix}").B
 
 
 def test_matrix_round_trip():
     rng = np.random.default_rng(0)
     for shape in ((1, 1), (3, 2), (4, 4)):
         M = rng.standard_normal(shape)
-        back = matio.parse_matrix(matio.format_matrix(M))
-        assert np.array_equal(back, M)
+        assert np.array_equal(_parse_B(matrix_text(M), *shape), M)
 
 
 def test_matrix_comments_and_blanks():
     text = "# heading\n2 2\n\n1 2  # trailing note\n3 4\n"
-    M = matio.parse_matrix(text)
+    M = _parse_B(text, 2, 2)
     assert np.array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -35,12 +39,11 @@ def test_matrix_comments_and_blanks():
         "2 2\n1 2\n",
         "1 1\nx\n",
         "0 2\n",
-        "1 1\n1\nextra\n",
     ],
 )
 def test_matrix_parse_errors(text):
     with pytest.raises(ParseError):
-        matio.parse_matrix(text)
+        _parse_B(text)
 
 
 @pytest.mark.parametrize(
@@ -53,14 +56,14 @@ def test_matrix_parse_errors(text):
 )
 def test_matrix_parse_error_names_first_bad_row(text, message):
     with pytest.raises(ParseError, match=f"^{message}$"):
-        matio.parse_matrix(text)
+        _parse_B(text)
 
 
 @pytest.mark.parametrize("token", ["1_000", "\u0661\u0662"])
 def test_matrix_rejects_tokens_numpy_does_not_read(token):
     # float() reads underscores and non-ASCII digits; numpy's parser does not
     with pytest.raises(ParseError, match="^row 1 contains a non-numeric entry$"):
-        matio.parse_matrix(f"1 2\n1 {token}\n")
+        _parse_B(f"1 2\n1 {token}\n")
 
 
 def test_block_saddle_round_trip(tmp_path):
@@ -69,27 +72,20 @@ def test_block_saddle_round_trip(tmp_path):
     A = G @ G.T
     B = rng.standard_normal((3, 2))
     C = np.eye(2)
-    text = matio.format_block_saddle(matio.parse_block_saddle(_saddle_text(A, B, C)))
+    S0 = matio.parse_block_saddle(block_text(A, B, C))
+    text = block_text(S0.A, S0.B, S0.C)
     S = matio.parse_block_saddle(text)
     assert np.allclose(S.A, A) and np.allclose(S.B, B) and np.allclose(S.C, C)
     path = tmp_path / "h.txt"
-    path.write_text(matio.format_block_saddle(S), encoding="utf-8")
+    path.write_text(block_text(S.A, S.B, S.C), encoding="utf-8")
     S2 = matio.read_block_saddle(path)
     assert np.array_equal(S2.A, S.A) and np.array_equal(S2.C, S.C)
-
-
-def _saddle_text(A, B, C) -> str:
-    parts = []
-    for name, M in (("A", A), ("B", B), ("C", C)):
-        parts.append(name + "\n" + matio.format_matrix(M))
-    return "\n".join(parts)
 
 
 def test_zero_c_section():
     text = "A\n1 1\n2\nB\n1 3\n1 0 0\nC\nzero 3\n"
     S = matio.parse_block_saddle(text)
     assert S.C.shape == (3, 3) and not S.C.any()
-    assert "zero 3" in matio.format_block_saddle(S)
 
 
 def test_section_order_free():
@@ -130,7 +126,7 @@ def test_block_validation_is_not_a_parse_error():
 )
 def test_matrix_header_and_entry_errors(text, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-        matio.parse_matrix(text)
+        _parse_B(text)
 
 
 @pytest.mark.parametrize(
@@ -148,7 +144,7 @@ def test_zero_c_section_errors(line, message):
 
 def test_seventeen_digit_round_trip():
     M = np.array([[1.0 / 3.0, np.pi], [np.e, 2.0 ** -52]])
-    assert np.array_equal(matio.parse_matrix(matio.format_matrix(M)), M)
+    assert np.array_equal(_parse_B(matrix_text(M), 2, 2), M)
 
 
 def _count_body_parses(monkeypatch) -> list:
@@ -162,7 +158,7 @@ KIRSCH_A = np.array([[2.0, -1.0 / 3.0], [-1.0 / 3.0, 1.0]])
 
 
 def test_repeated_section_parsed_once(monkeypatch):
-    A, B = matio.format_matrix(KIRSCH_A), matio.format_matrix(np.diag([1.0, 3.0]))
+    A, B = matrix_text(KIRSCH_A), matrix_text(np.diag([1.0, 3.0]))
     results = []
     for text in (f"A\n{A}B\n{B}C\n{A}", f"C\n{A}B\n{B}A\n{A}"):
         calls = _count_body_parses(monkeypatch)
@@ -176,7 +172,7 @@ def test_repeated_section_parsed_once(monkeypatch):
 
 
 def test_section_repeat_ignores_comment_lines(monkeypatch):
-    A, B = matio.format_matrix(KIRSCH_A), matio.format_matrix(np.eye(2))
+    A, B = matrix_text(KIRSCH_A), matrix_text(np.eye(2))
     header, row1, row2 = A.splitlines()
     C = f"{header}\n{row1}  # first row\n# an interleaved note\n{row2}\n"
     calls = _count_body_parses(monkeypatch)
@@ -185,7 +181,7 @@ def test_section_repeat_ignores_comment_lines(monkeypatch):
 
 
 def test_section_differing_in_last_token_parsed_in_full(monkeypatch):
-    A, B = matio.format_matrix(KIRSCH_A), matio.format_matrix(np.eye(2))
+    A, B = matrix_text(KIRSCH_A), matrix_text(np.eye(2))
     C = A[: A.rindex(" ")] + " 1.0000000000000002\n"
     calls = _count_body_parses(monkeypatch)
     S = matio.parse_block_saddle(f"A\n{A}B\n{B}C\n{C}")
@@ -211,4 +207,7 @@ def test_block_shapes_checked_before_any_factorization(monkeypatch):
         BlockSaddle(np.eye(2), np.ones((2, 1)), np.eye(300))
     with pytest.raises(DimensionMismatch, match="^B must be 300x2, got 2x2$"):
         BlockSaddle(np.eye(300), np.ones((2, 2)), np.eye(2))
+    message = "A and C must share a shape, got (300, 300) and (3, 3)"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        func_calc_AC(np.eye(300), np.eye(3), 1.0, lambda x: 1.0)
     assert sum(counts.values()) == 0, counts

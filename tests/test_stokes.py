@@ -1,20 +1,12 @@
-"""Branch intervals, pencil classification, and perturbation enclosures."""
+"""Branch intervals and pencil classification."""
 
 import numpy as np
 import pytest
 
 from gapcert import stokes
 from gapcert.bounds import BlockSaddle
-from gapcert.errors import (
-    DegenerateDirection,
-    DimensionMismatch,
-    EtaOutOfRange,
-    NABViolated,
-    NotDefinite,
-    NotPSD,
-    RankDeficient,
-)
-from gapcert.stokes import PerturbationSpec, StokesMatrix
+from gapcert.errors import DimensionMismatch, NABViolated, NotDefinite, NotPSD, RankDeficient
+from gapcert.stokes import StokesMatrix
 
 from helpers import full_rank_tall, rand_pd, rand_psd, violations
 
@@ -40,55 +32,6 @@ def test_nab_holds():
     assert StokesMatrix(np.diag([1.0, 0.0]), np.array([[0.0], [1.0]])).nab_holds()
     assert not StokesMatrix(np.diag([0.0, 1.0]), np.array([[0.0], [1.0]])).nab_holds()
     assert not StokesMatrix(np.zeros((2, 2)), np.zeros((2, 2))).nab_holds()
-
-
-def test_rayleigh_scalar_is_eigenvalue_pair():
-    p_plus, p_minus = stokes.rayleigh_p(np.array([1.0]), scalar_stokes(1.0, 1.0))
-    assert abs(p_plus - PHI) < 1e-14
-    assert abs(p_minus - (1.0 - PHI)) < 1e-14
-
-
-def test_rayleigh_validation():
-    S = StokesMatrix(np.diag([1.0, 0.0]), np.array([[1.0], [0.0]]))
-    with pytest.raises(ValueError):
-        stokes.rayleigh_p(np.array([1.0]), S)
-    with pytest.raises(ValueError):
-        stokes.rayleigh_p(np.array([1.0, 1.0]), S)
-    with pytest.raises(DegenerateDirection):
-        stokes.rayleigh_p(np.array([0.0, 1.0]), S)  # e2 kills both A and B^T
-
-
-@pytest.mark.parametrize("t", [1e-100, 1e-50, 1e50, 1e100])
-def test_rayleigh_scale_covariant(t):
-    # scaling H by t scales A, B and both functionals by t; the degeneracy
-    # test must make the same decision at every scale
-    S = StokesMatrix(np.diag([2.0, 1e-14, 0.0]), np.array([[1.0], [0.0], [0.0]]))
-    St = StokesMatrix(t * S.A, t * S.B)
-    x = np.array([0.6, 0.0, 0.8])
-    assert stokes.rayleigh_p(x, St) == pytest.approx(
-        tuple(t * v for v in stokes.rayleigh_p(x, S)), rel=1e-14
-    )
-    for e in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
-        for T in (S, St):
-            with pytest.raises(DegenerateDirection):
-                stokes.rayleigh_p(e, T)
-
-
-def test_rayleigh_range_matches_branches():
-    # every direction's pair lands between the extreme branch values
-    rng = np.random.default_rng(31)
-    for _ in range(150):
-        m = int(rng.integers(1, 6))
-        k = int(rng.integers(1, m + 1))
-        S = StokesMatrix(rand_pd(rng, m), rng.standard_normal((m, k)))
-        ps = stokes.pencil_spectrum(S)
-        tol = 1e-10 * max(1.0, float(ps.lambda_plus[0]))
-        for _ in range(5):
-            x = rng.standard_normal(m)
-            x /= np.linalg.norm(x)
-            p_plus, p_minus = stokes.rayleigh_p(x, S)
-            assert ps.lambda_plus[-1] - tol <= p_plus <= ps.lambda_plus[0] + tol
-            assert ps.lambda_minus[0] - tol <= p_minus <= ps.lambda_minus[-1] + tol
 
 
 def test_pencil_spectrum_scalar():
@@ -283,55 +226,15 @@ def test_new_gap_estimate_property():
             assert cert.inv_norm_bound is None
 
 
-def test_perturbation_spec_range():
-    assert PerturbationSpec(0.0).eta == 0.0
-    with pytest.raises(EtaOutOfRange):
-        PerturbationSpec(1.0)
-    with pytest.raises(EtaOutOfRange):
-        PerturbationSpec(-0.01)
-
-
-def test_perturbation_enclosures_coupled_scaling():
-    # scaling A and B jointly by 1+s keeps every branch inside its enclosure
+def test_pencil_spectrum_joint_scaling():
+    # scaling A and B jointly by t > 0 scales H, and so both branches, by t
     rng = np.random.default_rng(39)
-    eta = 0.3
     for _ in range(40):
         m = int(rng.integers(1, 5))
         k = int(rng.integers(1, m + 1))
         A, B = rand_pd(rng, m), full_rank_tall(rng, m, k)
         base = stokes.pencil_spectrum(StokesMatrix(A, B))
-        minus, plus = stokes.perturbation_bounds(base, PerturbationSpec(eta))
-        tol = 1e-10 * max(1.0, float(base.lambda_plus[0]))
-        for s in np.linspace(-eta, eta, 5):
-            ps = stokes.pencil_spectrum(StokesMatrix((1.0 + s) * A, (1.0 + s) * B))
-            assert np.all(ps.lambda_plus >= plus[:, 0] - tol)
-            assert np.all(ps.lambda_plus <= plus[:, 1] + tol)
-            assert np.all(ps.lambda_minus >= minus[:, 0] - tol)
-            assert np.all(ps.lambda_minus <= minus[:, 1] + tol)
-
-
-def test_perturbation_positive_branch_independent_scales():
-    # with A and B scaled separately only the positive branch is enclosed
-    rng = np.random.default_rng(40)
-    eta = 0.25
-    for _ in range(40):
-        m = int(rng.integers(1, 5))
-        k = int(rng.integers(1, m + 1))
-        A, B = rand_pd(rng, m), full_rank_tall(rng, m, k)
-        base = stokes.pencil_spectrum(StokesMatrix(A, B))
-        _, plus = stokes.perturbation_bounds(base, PerturbationSpec(eta))
-        tol = 1e-10 * max(1.0, float(base.lambda_plus[0]))
-        s_a, s_b = rng.uniform(-eta, eta, size=2)
-        ps = stokes.pencil_spectrum(StokesMatrix((1.0 + s_a) * A, (1.0 + s_b) * B))
-        assert np.all(ps.lambda_plus >= plus[:, 0] - tol)
-        assert np.all(ps.lambda_plus <= plus[:, 1] + tol)
-
-
-def test_perturbation_zero_eta_degenerates():
-    rng = np.random.default_rng(41)
-    base = stokes.pencil_spectrum(StokesMatrix(rand_pd(rng, 3), full_rank_tall(rng, 3, 2)))
-    minus, plus = stokes.perturbation_bounds(base, PerturbationSpec(0.0))
-    assert np.allclose(minus[:, 0], base.lambda_minus)
-    assert np.allclose(minus[:, 1], base.lambda_minus)
-    assert np.allclose(plus[:, 0], base.lambda_plus)
-    assert np.allclose(plus[:, 1], base.lambda_plus)
+        for t in 1.0 + np.linspace(-0.3, 0.3, 5):
+            ps = stokes.pencil_spectrum(StokesMatrix(t * A, t * B))
+            assert ps.lambda_plus == pytest.approx(t * base.lambda_plus, rel=1e-12)
+            assert ps.lambda_minus == pytest.approx(t * base.lambda_minus, rel=1e-12)
