@@ -1,10 +1,12 @@
 """Text formats for matrices and saddle-point block files.
 
 Matrix format: a header line ``rows cols`` followed by ``rows`` lines of
-``cols`` whitespace-separated numbers.  Lines may carry ``#`` comments.
-Numbers are read by numpy's text parser, which takes the forms ``float()``
+``cols`` whitespace-separated numbers.  A ``#`` starts a comment that runs
+to the end of its line, so whole lines and line ends may be comments.
+The tokens taken are those of numpy's text parser: the forms ``float()``
 takes except underscores (``1_000``) and non-ASCII digits; such a token
-is a non-numeric entry.
+is a non-numeric entry.  Each number converts to the double ``float()``
+gives for its token, bit for bit.
 
 Block file format: three sections headed by bare ``A``, ``B``, ``C``
 lines, each followed by a matrix.  The ``C`` section may instead hold
@@ -13,10 +15,22 @@ the literal line ``zero k`` for Stokes problems.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .bounds import BlockSaddle, check_shapes
 from .errors import ParseError
+
+# numpy's long double is x87 extended precision: a 64-bit significand
+_X87 = np.finfo(np.longdouble).nmant == 63
+# By x87 sign-and-exponent word: does the long double lie outside the normal
+# doubles below 2**1023?  Exponent 0 holds the zeros and values far below
+# every double; both round to a signed zero, as float() gives.
+_OUTSIDE_DOUBLE = np.ones((2, 1 << 15), bool)  # sign, biased exponent
+_OUTSIDE_DOUBLE[:, 0] = False
+_OUTSIDE_DOUBLE[:, 16383 - 1022 : 16383 + 1023] = False
+_OUTSIDE_DOUBLE = _OUTSIDE_DOUBLE.ravel()
 
 
 def _logical_lines(text: str) -> list[str]:
@@ -29,26 +43,72 @@ def _logical_lines(text: str) -> list[str]:
 
 
 def _parse_body(body: list[str], cols: int) -> np.ndarray:
-    """The rows of a matrix body as one array, converted in a single call.
+    """The rows of a matrix body as one (rows, cols) array, each entry as ``float()`` gives it.
 
-    On failure the rows are scanned one by one, so the error names the
-    first row with the wrong number of entries or a non-numeric one.
+    Where numpy's long double is x87 extended precision,
+    ``_read_long_double`` reads the rows; elsewhere one ``np.loadtxt``
+    call reads the whole body.  Rows that either leaves unread are then
+    read one by one with ``np.loadtxt``, so an error names the first row
+    with the wrong number of entries or a non-numeric one.
     """
-    try:
-        data = np.loadtxt(body, dtype=float, ndmin=2, comments=None)
-    except ValueError:
-        data = None
-    if data is not None and data.shape == (len(body), cols):
-        return data
-    for i, line in enumerate(body):
+    if _X87:
+        data, redo = _read_long_double(body, cols)
+    else:
+        try:
+            data = np.loadtxt(body, dtype=float, ndmin=2, comments=None)
+        except ValueError:
+            data = None
+        if data is not None and data.shape == (len(body), cols):
+            return data
+        data, redo = np.empty((len(body), cols)), range(len(body))
+    for i in redo:
+        line = body[i]
         parts = line.split()
         if len(parts) != cols:
             raise ParseError(f"row {i + 1} has {len(parts)} entries, expected {cols}")
         try:
-            np.loadtxt([line], dtype=float, comments=None)
+            data[i] = np.loadtxt([line], dtype=float, comments=None)
         except ValueError:
             raise ParseError(f"row {i + 1} contains a non-numeric entry") from None
-    raise ParseError(f"matrix body does not parse as {len(body)}x{cols}")
+    return data
+
+
+def _read_long_double(body: list[str], cols: int) -> tuple[np.ndarray, list[int]]:
+    """The body read through numpy's long-double ``fromstring``, and the rows left unread.
+
+    The C library's ``strtold`` (glibc's on Linux) rounds each token
+    correctly to a 64-bit significand.  Rounding that to double gives the
+    double nearest the token unless the long double lies exactly on a
+    midpoint between two doubles (its low 11 significand bits are 0x400)
+    or outside the normal doubles below 2**1023.  Rows holding such a
+    value, the NaN that ``nan(...)`` reads as among them, are left unread.
+    So are rows ``fromstring`` does not read to the end as ``cols``
+    numbers, and rows holding an ``x`` or ``X``, which hex numbers need
+    and ``float()`` refuses.  Numpy 1.x warns, where numpy 2 raises, on a
+    row it does not read to the end; ``parse_block_saddle`` makes that
+    warning an error.
+    """
+    rows, redo = [], []
+    for i, line in enumerate(body):
+        row = None
+        if not ("x" in line or "X" in line):
+            try:
+                row = np.fromstring(line, np.longdouble, sep=" ")
+            except (ValueError, DeprecationWarning):
+                pass
+        if row is None or row.size != cols:
+            redo.append(i)
+            row = np.zeros(cols, np.longdouble)
+        rows.append(row)
+    wide = np.array(rows)
+    # x87 layout: the significand in 16-bit words 0-3, sign and biased exponent in word 4
+    words = wide.view(np.uint16).reshape(*wide.shape, -1)
+    inexact = _OUTSIDE_DOUBLE[words[..., 4]] | ((words[..., 0] & 0x7FF) == 0x400)
+    if inexact.any():
+        flagged = np.flatnonzero(inexact.any(axis=1))
+        wide[flagged] = 0  # they are re-read; zeros keep the cast below from overflowing
+        redo = sorted(redo + flagged.tolist())
+    return wide.astype(np.float64), redo
 
 
 def _section_at(lines: list[str], pos: int) -> tuple[list[str], int]:
@@ -76,15 +136,8 @@ def _parse_section(section: list[str], cols: int) -> np.ndarray:
     return data
 
 
-def parse_block_saddle(text: str) -> BlockSaddle:
-    """The saddle a block file describes.
-
-    A section whose header and body lines repeat an earlier section's
-    (the Kirsch form C = A) takes a copy of that section's array instead
-    of a second parse.  A ``zero k`` block is built only once B's shape
-    admits it.
-    """
-    lines = _logical_lines(text)
+def _read_sections(lines: list[str]) -> dict[str, np.ndarray | int]:
+    """Each section's array by name; a ``zero k`` section gives k."""
     sections: dict[str, np.ndarray | int] = {}
     parsed: list[tuple[list[str], np.ndarray]] = []  # each matrix section's lines and array
     pos = 0
@@ -116,6 +169,22 @@ def parse_block_saddle(text: str) -> BlockSaddle:
         else:
             sections[name] = earlier.copy()
         pos += len(section)
+    return sections
+
+
+def parse_block_saddle(text: str) -> BlockSaddle:
+    """The saddle a block file describes.
+
+    A section whose header and body lines repeat an earlier section's
+    (the Kirsch form C = A) takes a copy of that section's array instead
+    of a second parse.  A ``zero k`` block is built only once B's shape
+    admits it.
+    """
+    with warnings.catch_warnings():
+        # on a row fromstring cannot read to its end, numpy 1.x warns and
+        # returns what it read, where numpy 2 raises
+        warnings.filterwarnings("error", "string or file could not be read to its end", DeprecationWarning)
+        sections = _read_sections(_logical_lines(text))
     missing = [n for n in ("A", "B", "C") if n not in sections]
     if missing:
         raise ParseError(f"missing section(s): {', '.join(missing)}")

@@ -1,6 +1,8 @@
 """Block saddle text format: round trips and parse failures."""
 
 import re
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -59,11 +61,78 @@ def test_matrix_parse_error_names_first_bad_row(text, message):
         _parse_B(text)
 
 
-@pytest.mark.parametrize("token", ["1_000", "\u0661\u0662"])
+@pytest.mark.parametrize("token", ["1_000", "\u0661\u0662", "0x10", "0X1P3", "nan(1)"])
 def test_matrix_rejects_tokens_numpy_does_not_read(token):
-    # float() reads underscores and non-ASCII digits; numpy's parser does not
+    # float() reads underscores and non-ASCII digits; numpy's parser does not.
+    # strtold reads hex and nan(...); float() does not
     with pytest.raises(ParseError, match="^row 1 contains a non-numeric entry$"):
         _parse_B(f"1 2\n1 {token}\n")
+
+
+@pytest.mark.parametrize("row", ["1 2e", "1 2x", "1.5.5 2", "1 nan(", "1e 2"])
+def test_malformed_row_lets_no_warning_escape(row):
+    # numpy 1.x warns and returns the numbers it read where numpy 2 raises
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="^row 1 contains a non-numeric entry$"):
+            _parse_B(f"2 2\n{row}\n3 4\n", 2, 2)
+    assert not [w for w in seen if issubclass(w.category, (DeprecationWarning, RuntimeWarning))]
+
+
+@pytest.mark.skipif(not matio._X87, reason="the long-double route runs only on x87")
+def test_row_read_short_under_numpy1_is_diagnosed(monkeypatch):
+    # numpy 1.x returns the numbers read before the unmatched data, here as
+    # many as the row needs, with a DeprecationWarning that is ignored by default
+    def fromstring_1x(string, dtype, sep):
+        warnings.warn("string or file could not be read to its end due to unmatched data; "
+                      "this will raise a ValueError in the future.", DeprecationWarning)
+        return np.zeros(len(string.split()), dtype)
+
+    monkeypatch.setattr(np, "fromstring", fromstring_1x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(ParseError, match="^row 1 contains a non-numeric entry$"):
+            _parse_B("2 2\n1 2e\n3 4\n", 2, 2)
+        assert np.array_equal(_parse_B("2 2\n1 2\n3 4\n", 2, 2), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _exactness_tokens() -> list[str]:
+    """Tokens whose conversion a double rounding through long double could get wrong."""
+    rng = np.random.default_rng(23)
+    values = rng.integers(0, 2**64, size=300, dtype=np.uint64).view(np.float64)
+    subnormals = rng.integers(1, 2**52, size=40, dtype=np.uint64).view(np.float64)
+    tokens = []
+    for v in np.concatenate([values, subnormals]):
+        tokens += ["%.17g" % v] + ["%.*g" % (digits, v) for digits in range(1, 26)]
+    # the exact decimal midpoint between two adjacent doubles, and 1e-45 (relative) either side
+    edges = [2.0**e for e in (-1022, -1021, -1, 0, 1, 52, 53, 1023)]
+    lows = [*values[np.isfinite(values)][:120], *subnormals[:20], *edges, *np.nextafter(edges, 0), 0.0]
+    with localcontext() as exact:
+        exact.prec = 2000
+        for lo in lows:
+            hi = np.nextafter(lo, np.inf)
+            mid = (Decimal(float(lo)) + Decimal(float(hi))) / 2
+            tokens += [str(mid), str(mid * (1 + Decimal("1e-45"))), str(mid * (1 - Decimal("1e-45")))]
+        top = (Decimal(np.finfo(float).max) + Decimal(2) ** 1024) / 2  # where rounding overflows
+        tokens += [str(top), str(top * (1 - Decimal("1e-45")))]
+    tokens += ["2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654e-324"]
+    tokens += ["2.2250738585072009e-308", "2.2250738585072014e-308", "-2.2250738585072011e-308"]
+    tokens += ["1.7976931348623158e308", "1.7976931348623159e308", "1e-5000", "-1e400"]
+    tokens += ["-0", "+0.0", "0e0", "inf", "Infinity", "-INF", "nan", "-nan"]
+    return tokens
+
+
+@pytest.mark.parametrize("x87", [matio._X87, False], ids=["native", "loadtxt"])
+def test_body_converts_as_float_does(monkeypatch, x87):
+    monkeypatch.setattr(matio, "_X87", x87)
+    tokens = _exactness_tokens()
+    cols = 7
+    tokens += ["0"] * (-len(tokens) % cols)
+    seps = (" ", "\t  ")
+    body = [seps[i % 2].join(tokens[j : j + cols]) for i, j in enumerate(range(0, len(tokens), cols))]
+    got = matio._parse_body(body, cols)
+    want = np.array([float(t) for t in tokens]).reshape(-1, cols)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_block_saddle_round_trip(tmp_path):
@@ -149,8 +218,8 @@ def test_seventeen_digit_round_trip():
 
 def _count_body_parses(monkeypatch) -> list:
     calls = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    parse_body = matio._parse_body
+    monkeypatch.setattr(matio, "_parse_body", lambda *a, **k: calls.append(1) or parse_body(*a, **k))
     return calls
 
 
