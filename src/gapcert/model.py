@@ -163,12 +163,18 @@ def _masses(spec: ModelSpec | Sequence[ModelSpec], name: str) -> tuple[np.ndarra
     return np.array([[s.c] for s in specs]), specs[0].m, single
 
 
+def _finite(x, what: str, c):
+    # x, a quantity of the mass c (a float or a column), must not overflow the float range
+    if not np.isfinite(x).all():
+        raise OverflowError(f"{what} overflows the float range at c = {np.max(c):g}")
+    return x
+
+
 def _c_squared(c: np.ndarray) -> np.ndarray:
     # c * c of a mass column; H's squared eigenvalues reach 4 c^2, which must stay finite
     with np.errstate(over="ignore"):
         c2 = c * c
-        if not np.isfinite(4.0 * c2).all():
-            raise OverflowError(f"4 c^2 overflows the float range at c = {c.max():g}")
+        _finite(4.0 * c2, "4 c^2", c)
     return c2
 
 
@@ -221,8 +227,11 @@ def _alpha0(c: float) -> float:
 
 
 def lambda_of_alpha(c: float, alpha) -> np.ndarray | float:
-    """Dispersion lambda = c^2 + 1 - 2c cos(alpha), evaluated stably."""
-    return (1.0 - c) ** 2 + 4.0 * c * np.sin(np.asarray(alpha) / 2.0) ** 2
+    """Dispersion lambda = c^2 + 1 - 2c cos(alpha), evaluated stably; OverflowError if it overflows."""
+    # a Python float's ** raises a bare OverflowError; numpy's gives inf for _finite to name c
+    with np.errstate(over="ignore"):
+        lam = np.float64(1.0 - c) ** 2 + 4.0 * c * np.sin(np.asarray(alpha) / 2.0) ** 2
+    return _finite(lam, "lambda = c^2 + 1 - 2c cos(alpha)", c)
 
 
 def _F(m: int, c: float, al: np.ndarray | float):
@@ -310,37 +319,6 @@ def _log_sinh(x: float) -> float:
     return float(x - np.log(2.0) + np.log1p(-np.exp(-2.0 * x)))
 
 
-def _illinois(h, a: float, b: float, fa: float, fb: float) -> float:
-    """A root of h(u) in (a, b), u = log delta, by Illinois regula falsi in delta.
-
-    fa = h(a) and fb = h(b) differ in sign.  The secant point in delta is a
-    convex combination of exp(a) and exp(b), so it neither cancels nor
-    underflows.  Returns the first exact zero, or the endpoint the secant
-    point falls on once it can no longer move strictly inside the bracket
-    (the bracket's midpoint if that takes more than 100 steps).
-    """
-    neg = fa < 0.0
-    side = 0
-    for _ in range(100):
-        x = np.log(np.exp(a) * (fb / (fb - fa)) + np.exp(b) * (fa / (fa - fb)))
-        if not a < x < b:
-            return a if x <= a else b
-        fx = h(x)
-        if fx == 0.0:
-            return x
-        if (fx < 0.0) == neg:
-            a, fa = x, fx
-            if side < 0:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = x, fx
-            if side > 0:
-                fa *= 0.5
-            side = 1
-    return 0.5 * (a + b)
-
-
 def _hyp_root(m: int, c: float) -> tuple[float, float]:
     """Hyperbolic secular root as (alpha1, log lambda1), solved in delta = alpha0 - alpha1.
 
@@ -350,16 +328,7 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
     delta <= alpha0/2 and the tanh form beyond.  The root is bisected in
     u = log(delta), so roots down to delta ~ e^(-600) resolve at full
     relative accuracy; beyond 2 m alpha0 > 600 the asymptote is exact.
-
-    Route: a scalar Illinois regula falsi (_illinois) locates the root in
-    about a dozen evaluations of h, and a window of relative width 1e-12
-    in delta around it is checked to bracket the sign change.  The
-    bisection of the full bracket then runs to adjacent floats but
-    evaluates h only at midpoints inside the window; a midpoint outside
-    takes the side the window lies on.  It so takes the steps of a plain
-    bisection wherever the rounding noise of h stays inside the window,
-    in about 30 evaluations of h instead of about 60.  If the window check
-    fails, every midpoint is evaluated.
+    It evaluates h at every midpoint, about 55 times, until the midpoint repeats.
     """
     a0 = _alpha0(c)
     if 2.0 * m * a0 > 600.0:
@@ -378,22 +347,13 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
 
     guess = (1.0 - c * c) * np.exp(-2.0 * m * a0)
     lo, hi = np.log(guess) - 30.0, np.log(a0 * (1.0 - 1e-12))
-    flo = h(lo)
-    neg = flo < 0.0
-    r = _illinois(h, lo, hi, flo, h(hi))
-    w = 1e-12 * max(1.0, abs(r))
-    a, b = max(lo, r - w), min(hi, r + w)
-    if (h(a) < 0.0) != neg or (h(b) < 0.0) == neg:
-        a, b = lo, hi
+    neg = h(lo) < 0.0
     mid = np.nan
     while True:
         prev, mid = mid, 0.5 * (lo + hi)
         if mid == prev:
             break
-        if a < mid < b:
-            g = -h(mid) if neg else h(mid)
-        else:
-            g = 1.0 if mid <= a else -1.0
+        g = -h(mid) if neg else h(mid)
         if g <= 0.0:
             hi = mid
         if g >= 0.0:

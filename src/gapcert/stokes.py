@@ -27,10 +27,6 @@ class StokesMatrix(bounds.BlockSaddle):
         k = np.atleast_2d(B).shape[1]
         super().__init__(A, B, np.zeros((k, k)))
 
-    def nab_holds(self) -> bool:
-        """Whether N(A) and N(B^T) intersect only in zero: the rule pencil_spectrum raises on."""
-        return _positive(self).size == self.m
-
 
 @dataclass(frozen=True)
 class PencilSpectrum:
@@ -74,19 +70,13 @@ def _require_zero_C(S: bounds.BlockSaddle) -> None:
         raise ValueError("stokes command needs the C block to be zero")
 
 
-def _positive(S: bounds.BlockSaddle) -> np.ndarray:
-    # the eigenvalues of H the rank rule keeps as positive; with C = 0 there
-    # are m of them exactly when N(A) cap N(B^T) = {0}
-    w = S.eigvals_H
-    return w[~linalg.negligible(w)]
-
-
 def pencil_spectrum(S: bounds.BlockSaddle) -> PencilSpectrum:
     """Classify the spectrum of H into pencil branches."""
     _require_zero_C(S)
     w = S.eigvals_H
     neg = w[~linalg.negligible(-w)]
-    pos = _positive(S)
+    # with C = 0, the rank rule keeps m eigenvalues as positive exactly when N(A) cap N(B^T) = {0}
+    pos = w[~linalg.negligible(w)]
     if pos.size != S.m:
         raise NABViolated(
             f"expected {S.m} positive eigenvalues, found {pos.size}; N(A) meets N(B^T)"

@@ -464,6 +464,15 @@ def test_overflow_and_nonfinite_input_exit_with_one_error_line(capsys, argv, wan
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd, c", [("secular", "1e160"), ("stable-gap", "1e200")])
+def test_model_lambda_overflow_names_c(capsys, cmd, c):
+    # (1 - c)^2 overflows from c ~ 1.34e154; just below, both commands still succeed
+    code, out, err = run(capsys, "model", cmd, "-m", "10", "-c", c)
+    assert code == 3 and out == ""
+    assert err == f"error: lambda = c^2 + 1 - 2c cos(alpha) overflows the float range at c = {float(c):g}\n"
+    assert run(capsys, "model", cmd, "-m", "10", "-c", "1.3e154")[0] == 0
+
+
 def test_verdict_margin_is_scale_relative(tmp_path, capsys, monkeypatch):
     # at scale 1e-12 every eigenvalue lies far inside an absolute 1e-10
     # margin; the verdict must still see one inside the certified interval

@@ -28,10 +28,14 @@ def test_stokes_matrix_validation():
     assert H.shape == (2, 2) and np.array_equal(H, H.T)
 
 
-def test_nab_holds():
-    assert StokesMatrix(np.diag([1.0, 0.0]), np.array([[0.0], [1.0]])).nab_holds()
-    assert not StokesMatrix(np.diag([0.0, 1.0]), np.array([[0.0], [1.0]])).nab_holds()
-    assert not StokesMatrix(np.zeros((2, 2)), np.zeros((2, 2))).nab_holds()
+def test_pencil_spectrum_nab_rule():
+    # N(A) cap N(B^T) = {0}: e2 spans N(A), B^T e2 = 1
+    ps = stokes.pencil_spectrum(StokesMatrix(np.diag([1.0, 0.0]), np.array([[0.0], [1.0]])))
+    assert ps.lambda_plus.size == 2
+    # e1 lies in both null spaces; with A = B = 0, all of R^2 does
+    for A, B in ((np.diag([0.0, 1.0]), np.array([[0.0], [1.0]])), (np.zeros((2, 2)), np.zeros((2, 2)))):
+        with pytest.raises(NABViolated):
+            stokes.pencil_spectrum(StokesMatrix(A, B))
 
 
 def test_pencil_spectrum_scalar():
@@ -65,7 +69,6 @@ def test_pencil_spectrum_counts():
 
 def test_pencil_spectrum_nab_violated():
     S = StokesMatrix(np.diag([0.0, 1.0]), np.array([[0.0], [1.0]]))
-    assert not S.nab_holds()
     with pytest.raises(NABViolated):
         stokes.pencil_spectrum(S)
     with pytest.raises(NABViolated):
@@ -73,14 +76,15 @@ def test_pencil_spectrum_nab_violated():
     # singular A: N(A) = span(e1) and N(B^T) = span(e1 - e2) meet only in zero
     A = np.diag([0.0, 2.0, 3.0])
     S = StokesMatrix(A, np.array([[1.0], [1.0], [0.0]]))
-    assert S.nab_holds()
+    assert stokes.pencil_spectrum(S).lambda_plus.size == 3
     pair = stokes.minimal_intervals(S)
     evals = np.linalg.eigvalsh(S.assemble())
     assert pair.i_plus == (float(evals[evals > 0][0]), float(evals[-1]))
     assert pair.i_minus == (float(evals[0]), float(evals[0]))
     # A's null vector e1 lies in N(B^T) = span(e1, e3)
     S = StokesMatrix(A, np.array([[0.0], [1.0], [0.0]]))
-    assert not S.nab_holds()
+    with pytest.raises(NABViolated):
+        stokes.pencil_spectrum(S)
     with pytest.raises(NABViolated):
         stokes.minimal_intervals(S)
 
