@@ -123,15 +123,6 @@ class GapCertificate:
     inv_norm_bound: float | None
     quantities: dict[str, float] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "interval": [self.interval[0], self.interval[1]],
-            "claim": self.claim,
-            "inv_norm_bound": self.inv_norm_bound,
-            "quantities": {k: self.quantities[k] for k in sorted(self.quantities)},
-        }
-
 
 def diag_gap(H: BlockSaddle) -> GapCertificate:
     """Gap interval (-min sigma(C), min sigma(A)) from the diagonal blocks alone.
@@ -382,27 +373,32 @@ def eig_4x4(p: Quartic4x4Params) -> np.ndarray:
     + c0 with c0 = |det M|^2, M = A - iB (sign +1) or A - B (sign -1), so
     the spectrum is plus/minus two square roots.  For consistent
     parameters s is half the trace of G = M M^H, and the discriminant
-    s^2 - c0 equals ((g11 - g22)/2)^2 + |g12|^2.  The root is taken from
-    that sum of squares, which stays exact at a double pair, where
-    s^2 - c0 is a rounded zero whose square root would split the pair by
-    about sqrt(eps) relative.
+    s^2 - c0 equals ((g11 - g22)/2)^2 + |g12|^2.  The large root hi =
+    sqrt(s + root) takes root from that sum of squares, which stays exact
+    at a double pair, where s^2 - c0 is a rounded zero whose square root
+    would split the pair by about sqrt(eps) relative.  The small root is
+    lo = |det M| / hi by Vieta's rule (lo hi = sqrt(c0)), which keeps its
+    relative accuracy where sqrt(s - root) cancels once s >> lo^2.
+    OverflowError once s leaves the float range.
     """
     A, B = p.blocks()
-    s = (
-        p.a_plus**2
-        + p.a_minus**2
-        + abs(complex(*p.b_plus)) ** 2
-        + abs(complex(*p.b_minus)) ** 2
-    ) / 2.0 + abs(complex(*p.a)) ** 2 + abs(complex(*p.b)) ** 2
     M = A - 1j * B if p.sign == 1 else A - B
-    c0 = abs(np.linalg.det(M)) ** 2
-    disc = s * s - c0
-    if disc < -1e-12 * s * s:
-        raise NegativeDiscriminant(f"s^2 - c0 = {disc:.3e} < 0; parameters inconsistent")
-    G = M @ M.conj().T
-    root = float(np.hypot((G[0, 0].real - G[1, 1].real) / 2.0, abs(G[0, 1])))
-    lo = np.sqrt(max(s - root, 0.0))
-    hi = np.sqrt(s + root)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # products, not **, so that squares past the float range give inf, which the check below names
+        a, b, bp, bm = (abs(complex(*z)) for z in (p.a, p.b, p.b_plus, p.b_minus))
+        s = (p.a_plus * p.a_plus + p.a_minus * p.a_minus + bp * bp + bm * bm) / 2.0 + a * a + b * b
+        # the 2x2 formula: np.linalg.det goes through log|det| and loses digits as |det| grows
+        det = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+        # relative to s^2, so that the test still decides where s^2 overflows
+        disc = 1.0 - (det / s) ** 2
+        G = M @ M.conj().T
+        root = np.hypot((G[0, 0].real - G[1, 1].real) / 2.0, abs(G[0, 1]))
+        hi = float(np.sqrt(s + root))
+    if not np.isfinite(hi):
+        raise OverflowError("s = tr(M M^H)/2 overflows the float range")
+    if disc < -1e-12:
+        raise NegativeDiscriminant(f"1 - c0/s^2 = {disc:.3e} < 0; parameters inconsistent")
+    lo = det / hi if hi > 0.0 else 0.0
     return np.array([-hi, -lo, lo, hi])
 
 
@@ -424,7 +420,10 @@ def nonmono_curve(t_grid: np.ndarray, family: str) -> np.ndarray:
     if family == "kirsch_Bt":
         for i, t in enumerate(t_grid):
             p = Quartic4x4Params(2.0, 2.0, a=(-1.0, 0.0), b_plus=(1.0, 0.0), b_minus=(t, 0.0))
-            mins[i] = eig_4x4(p)[2]
+            try:
+                mins[i] = eig_4x4(p)[2]
+            except OverflowError as exc:
+                raise OverflowError(f"{exc} at t = {t:g}") from None
     elif family == "scaled_A":
         for i, t in enumerate(t_grid):
             H = np.block([[t * _SCALED_A, _SCALED_B], [_SCALED_B.T, -t * _SCALED_A]])

@@ -29,6 +29,7 @@ import functools
 import json
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +164,7 @@ def _cmd_bounds(args) -> str:
     S = matio.read_block_saddle(args.file)
 
     def entry(name: str, cert: bounds.GapCertificate) -> dict:
-        e = {"certificate": cert.to_json_dict(), "verdict": _verdict(cert, S.eigvals_H)}
+        e = {"certificate": asdict(cert), "verdict": _verdict(cert, S.eigvals_H)}
         return dict(e, oracle=_oracle(S.eigvals_H)) if name == "kirsch" else e
 
     results = [dict(e, method=name) for name, e in _certify(BOUND_CERTS, args.method, S, entry).items()]
@@ -195,8 +196,8 @@ def _cmd_stokes(args) -> str:
 
     def entry(name: str, r) -> dict:
         if isinstance(r, stokes.IntervalPair):
-            return dict(r.to_json_dict(), verdict=_pair_verdict(r, ps, _margin(evals)))
-        return {"certificate": r.to_json_dict(), "verdict": _verdict(r, evals)}
+            return dict(asdict(r), verdict=_pair_verdict(r, ps, _margin(evals)))
+        return {"certificate": asdict(r), "verdict": _verdict(r, evals)}
 
     payload = {
         "input": str(args.file),

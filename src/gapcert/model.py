@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -282,27 +282,26 @@ def _newton(f, lo: np.ndarray, hi: np.ndarray, al: np.ndarray, neg: np.ndarray, 
     return al, done
 
 
-def _bisect(f, lo: np.ndarray, hi: np.ndarray, iters: int) -> np.ndarray:
-    """Bisect every bracket [lo[i], hi[i]] of the elementwise f together.
+def _bisect(f, lo: float, hi: float, iters: int) -> float:
+    """Bisect the bracket [lo, hi] of f for at most iters steps.
 
-    Each lane takes the steps of a scalar bisection.  f is flipped to be
-    nonnegative at lo, a sign lo keeps throughout, so a negative midpoint
-    value moves hi, a positive one lo, and an exact zero both, which
-    closes the lane on that midpoint.  Once every lane's midpoint repeats
-    the previous one, the brackets can no longer change and every later
-    step would repeat the last, so the loop stops there.
+    f is flipped to be nonnegative at lo, a sign lo keeps throughout, so a
+    negative midpoint value moves hi, a positive one lo, and an exact zero
+    both, which closes the bracket on that midpoint.  Once the midpoint
+    repeats the previous one the bracket can no longer change and every
+    later step would repeat the last, so the loop stops there.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    sign = np.where(f(lo) < 0.0, -1.0, 1.0)
-    mid = np.full_like(lo, np.nan)
+    sign = -1.0 if f(lo) < 0.0 else 1.0
+    mid = np.nan
     for _ in range(iters):
         prev, mid = mid, 0.5 * (lo + hi)
-        if (mid == prev).all():
+        if mid == prev:
             break
         g = sign * f(mid)
-        hi = np.where(g <= 0.0, mid, hi)
-        lo = np.where(g >= 0.0, mid, lo)
+        if g <= 0.0:
+            hi = mid
+        if g >= 0.0:
+            lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -328,7 +327,8 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
     delta <= alpha0/2 and the tanh form beyond.  The root is bisected in
     u = log(delta), so roots down to delta ~ e^(-600) resolve at full
     relative accuracy; beyond 2 m alpha0 > 600 the asymptote is exact.
-    It evaluates h at every midpoint, about 55 times, until the midpoint repeats.
+    _bisect evaluates h at every midpoint, about 55 times, until the
+    midpoint repeats.
     """
     a0 = _alpha0(c)
     if 2.0 * m * a0 > 600.0:
@@ -346,19 +346,10 @@ def _hyp_root(m: int, c: float) -> tuple[float, float]:
         return np.tanh(m * al) * num / s - c
 
     guess = (1.0 - c * c) * np.exp(-2.0 * m * a0)
-    lo, hi = np.log(guess) - 30.0, np.log(a0 * (1.0 - 1e-12))
-    neg = h(lo) < 0.0
-    mid = np.nan
-    while True:
-        prev, mid = mid, 0.5 * (lo + hi)
-        if mid == prev:
-            break
-        g = -h(mid) if neg else h(mid)
-        if g <= 0.0:
-            hi = mid
-        if g >= 0.0:
-            lo = mid
-    delta = float(np.exp(0.5 * (lo + hi)))
+    # the bracket is narrower than 2^10 and no two doubles lie closer than
+    # 2^-1074, so it collapses in fewer than 1100 halvings: the cap never binds
+    u = _bisect(h, np.log(guess) - 30.0, np.log(a0 * (1.0 - 1e-12)), 1100)
+    delta = float(np.exp(u))
     log_lam = np.log(4.0 * c) + _log_sinh(a0 - delta / 2.0) + _log_sinh(delta / 2.0)
     return a0 - delta, float(log_lam)
 
@@ -371,20 +362,19 @@ def secular_solve(spec: ModelSpec | Sequence[ModelSpec]) -> SecularRoots | list[
     form is evaluated once on all bracket points, and every
     sign-changing bracket is solved together by _newton, started from
     the phase form of the smooth secular function.  That takes 3 to 6
-    array evaluations in all (a bisection to adjacent floats took about
-    57).  Lanes still moving after 10 passes hold roots in the rounding
-    noise of F (near m (1 - c) = c, where the smallest root tends to 0);
-    they are bisected on their brackets and polished by up to three
-    Newton steps, as a bracket-by-bracket scalar loop would.  The
-    hyperbolic root, when has_central_pair demands one, is solved
-    separately near alpha0 by _hyp_root.
+    array evaluations in all.  Lanes still moving after 10 passes hold
+    roots in the rounding noise of F (near m (1 - c) = c, where the
+    smallest root tends to 0); each is finished alone by _bisect, at
+    most 80 steps on its bracket, and up to three Newton steps that stay
+    inside it.  The hyperbolic root, when has_central_pair demands one,
+    is solved separately near alpha0 by _hyp_root.
 
     A sequence of specs of one size m is solved as one batch and gives a
     list of roots, one per spec: the brackets of every mass share the
-    evaluation of F, the _newton call and the fallback, each lane
-    carrying its own c.  A lane takes the same steps in a batch as alone,
-    so each mass gets the roots of its own solve, bit for bit.  The root
-    count check and the hyperbolic root stay per mass.
+    evaluation of F and the _newton call, each lane carrying its own c.
+    A lane takes the same steps in a batch as alone, so each mass gets
+    the roots of its own solve, bit for bit.  The root count check and
+    the hyperbolic root stay per mass.
     """
     specs, single = _stack(spec)
     for s in specs:
@@ -430,20 +420,18 @@ def secular_solve(spec: ModelSpec | Sequence[ModelSpec]) -> SecularRoots | list[
     j = np.round((m * mid - theta) / np.pi)
     start = np.clip((j * np.pi + theta) / m, lo, hi)
     al, done = _newton(lambda t: _F(m, c, t), lo, hi, start, vals[:-1][bracket] < 0.0, 10)
-    if not done.all():
-        # roots in F's rounding noise (near m (1 - c) = c): bisect and polish
-        slow = ~done
-        lo, hi, cl = lo[slow], hi[slow], c[slow]
-        b = _bisect(lambda t: _F(m, cl, t), lo, hi, 80)
-        live = np.ones(b.shape, dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(3):
-                d = _dF(m, cl, b)
-                live &= d != 0.0
-                nxt = b - _F(m, cl, b) / d
-                live &= (lo < nxt) & (nxt < hi)
-                b = np.where(live, nxt, b)
-        al[slow] = b
+    # roots in F's rounding noise (near m (1 - c) = c): bisect each, then polish by Newton
+    for i in np.flatnonzero(~done):
+        r = _bisect(partial(_F, m, c[i]), lo[i], hi[i], 80)
+        for _ in range(3):
+            d = _dF(m, c[i], r)
+            if d == 0.0:
+                break
+            nxt = r - _F(m, c[i], r) / d
+            if not lo[i] < nxt < hi[i]:
+                break
+            r = nxt
+        al[i] = r
     lanes, zeros = owner[:-1][bracket], owner[:-1][exact]
     solved = []
     for i, s in enumerate(specs):

@@ -57,13 +57,6 @@ class IntervalPair:
     i_plus: tuple[float, float]
     source: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "i_minus": [self.i_minus[0], self.i_minus[1]],
-            "i_plus": [self.i_plus[0], self.i_plus[1]],
-        }
-
 
 def _require_zero_C(S: bounds.BlockSaddle) -> None:
     if np.any(S.C):

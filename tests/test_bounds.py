@@ -391,7 +391,7 @@ def test_eig_4x4_against_dense():
         assert np.allclose(got, want, atol=1e-9 * max(1.0, np.abs(want).max()))
 
 
-@pytest.mark.parametrize("t", [1e-60, 1e-20, 1e20, 1e60])
+@pytest.mark.parametrize("t", [1e-60, 1e-20, 1e20, 1e60, 1e100])
 def test_eig_4x4_scale_covariant(t):
     # A = 1.1 I, B = 0.7 I is a double pair: s^2 - c0 is zero up to rounding
     # at every scale and the discriminant test must accept it at each; the
@@ -437,6 +437,31 @@ def test_nonmono_kirsch_quartic_oracle():
         c0 = 13.0 + 5.0 * t * t + 2.0 * t
         oracle = np.sqrt(s - np.sqrt(s * s - c0))
         assert v == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "t_grid", [np.linspace(5.0, 20.0, 151), np.array([1e3, 1e5, 1e11, 1e12, 1e50, 1e150, 1e154])]
+)
+def test_nonmono_kirsch_matches_mpmath(t_grid):
+    # the small root sqrt(s - sqrt(s^2 - c0)) cancels once t^2 >> 5 (it read
+    # exactly 0 from t ~ 1e10); |det M| / hi keeps full relative accuracy
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for t, v in bounds.nonmono_curve(t_grid, "kirsch_Bt"):
+        T = mp.mpf(t)
+        s = (11 + T * T) / 2
+        c0 = 5 * T * T + 2 * T + 13
+        want = mp.sqrt(c0 / (s + mp.sqrt(s * s - c0)))
+        assert abs(v - want) <= 1e-15 * want, t
+
+
+def test_eig_4x4_overflow_names_s():
+    # s ~ t^2 / 2 leaves the float range from t ~ 1.34e154; below that no square warns
+    p = Quartic4x4Params(2.0, 2.0, a=(-1.0, 0.0), b_plus=(1.0, 0.0), b_minus=(1e155, 0.0))
+    with pytest.raises(OverflowError, match=r"s = tr\(M M\^H\)/2 overflows the float range"):
+        bounds.eig_4x4(p)
+    with pytest.raises(OverflowError, match="at t = 1e\\+155"):
+        bounds.nonmono_curve(np.array([5.0, 1e155]), "kirsch_Bt")
 
 
 def test_nonmono_simple_family():

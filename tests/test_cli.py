@@ -464,6 +464,19 @@ def test_overflow_and_nonfinite_input_exit_with_one_error_line(capsys, argv, wan
     assert "Traceback" not in err
 
 
+def test_counterexamples_kirsch_overflow_names_t(capsys):
+    # t^2 overflows from t ~ 1.34e154, so at the grid's second point, 5e159;
+    # up to 1e154 the curve reads sqrt(5), with no warning
+    code, out, err = run(capsys, "counterexamples", "--t-range", "1e150:1e160:3")
+    assert code == 3 and out == ""
+    assert err == "error: s = tr(M M^H)/2 overflows the float range at t = 5e+159\n"
+    for t_range in ("1e11:1e12:2", "1e153:1e154:2"):
+        code, out, err = run(capsys, "counterexamples", "--t-range", t_range)
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines() if line.startswith("kirsch_Bt,")]
+        assert len(rows) == 2 and all(abs(float(v) - np.sqrt(5.0)) < 1e-11 for _, _, v in rows)
+
+
 @pytest.mark.parametrize("cmd, c", [("secular", "1e160"), ("stable-gap", "1e200")])
 def test_model_lambda_overflow_names_c(capsys, cmd, c):
     # (1 - c)^2 overflows from c ~ 1.34e154; just below, both commands still succeed

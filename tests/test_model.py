@@ -218,19 +218,21 @@ def _scalar_secular(m, c):
 
 
 @pytest.mark.parametrize("iters", [5, 80])
-def test_bisect_lanes_match_scalar_bisection(iters):
-    # lanes: an exact zero at the first midpoint, a root off the dyadic
-    # grid, f < 0 at lo with an exact zero at the second midpoint, no
-    # sign change, and the root 0.5 from a bracket whose midpoints miss it
+def test_bisect_matches_scalar_bisection(iters):
+    # brackets: an exact zero at the first midpoint, a root off the dyadic
+    # grid, f < 0 at lo with an exact zero at the second midpoint, no sign
+    # change, the root 0.5 from a bracket whose midpoints miss it, and a
+    # root near 1e-30, which needs more than 80 halvings to collapse on
     def f(t):
-        return (t - 0.5) * (t - 3.3) * (t - 5.25)
+        return (t - 0.5) * (t - 3.3) * (t - 5.25) * (t - 1e-30)
 
-    lo = [0.0, 3.0, 4.5, 6.0, 1e-3]
-    hi = [1.0, 4.0, 5.5, 7.0, 0.7]
-    got = model._bisect(f, lo, hi, iters)
-    want = [_scalar_bisect(f, a, b, iters) for a, b in zip(lo, hi)]
-    assert got.tolist() == want
+    brackets = [(0.0, 1.0), (3.0, 4.0), (4.5, 5.5), (6.0, 7.0), (1e-3, 0.7), (-1.0, 0.25)]
+    got = [model._bisect(f, lo, hi, iters) for lo, hi in brackets]
+    assert got == [_scalar_bisect(f, lo, hi, iters) for lo, hi in brackets]
     assert got[0] == 0.5 and got[2] == 5.25
+    # the cap binds on the last bracket: the uncapped bisection goes on to 1e-30
+    assert abs(model._bisect(f, -1.0, 0.25, 1100) - 1e-30) <= 1e-45
+    assert got[5] != model._bisect(f, -1.0, 0.25, 1100)
 
 
 def _seeded_secular_cases():
@@ -279,7 +281,7 @@ def test_secular_solve_matches_scalar_reference(m, c):
 
 
 def test_secular_solve_vectorized(monkeypatch):
-    # every bracket is bisected in the same array call: the number of
+    # every bracket is solved in the same array calls: the number of
     # evaluations of the secular function does not grow with m
     calls = [0]
     F = model._F
@@ -603,27 +605,53 @@ def _edge_masses(m: int) -> list[float]:
     return [e * (1.0 - 1e-12), e, e * (1.0 + 1e-12), e * (1.0 + 1e-9)]
 
 
+def _fallback_brackets(monkeypatch) -> list:
+    # the brackets of the lanes secular_solve bisects, in call order; _hyp_root
+    # bisects too, but in log(delta) < 0, and trigonometric brackets lie in (0, pi)
+    brackets = []
+    bisect = model._bisect
+
+    def counted(f, lo, hi, iters):
+        if lo > 0.0:
+            brackets.append((lo, hi))
+        return bisect(f, lo, hi, iters)
+
+    monkeypatch.setattr(model, "_bisect", counted)
+    return brackets
+
+
 @pytest.mark.parametrize("m", [2, 4, 9, 40, 300])
 def test_secular_batch_equals_per_mass_solves(m, monkeypatch):
     rng = np.random.default_rng(m)
     cs = _edge_masses(m) + [0.9, 1.0, 1.0 / np.cos(np.pi / (2 * m))] + sorted(rng.uniform(0.05, 3.0, 6))
     specs = [ModelSpec(m, float(c)) for c in cs]
+    fallback = _fallback_brackets(monkeypatch)
     alone = [model.secular_solve(s) for s in specs]
-    fallback = []
-    bisect = model._bisect
-
-    def counted(f, lo, hi, iters):
-        fallback.append(lo.size)
-        return bisect(f, lo, hi, iters)
-
-    monkeypatch.setattr(model, "_bisect", counted)
+    lanes, fallback[:] = fallback[:], []
     batch = model.secular_solve(specs)
-    assert len(fallback) <= 1 and sum(fallback) >= 1
+    # one fallback call per lane that _newton leaves open, the same lanes alone and in the batch
+    assert len(fallback) >= 1 and fallback == lanes
     assert len(batch) == len(specs)
     for spec, a, b in zip(specs, alone, batch):
         assert _bits(a.trig_roots) == _bits(b.trig_roots), spec
         assert a.hyp_root == b.hyp_root and a.alpha_hat == b.alpha_hat, spec
     assert model.secular_solve(specs[:1])[0].trig_roots.tolist() == alone[0].trig_roots.tolist()
+
+
+@pytest.mark.parametrize("m", [2, 4, 9, 40, 300])
+def test_secular_fallback_lanes_equal_scalar_reference(m, monkeypatch):
+    # a lane _newton leaves open takes _scalar_secular's steps: at most 80
+    # halvings on its bracket, then the Newton steps that stay inside it
+    brackets = _fallback_brackets(monkeypatch)
+    lanes = 0
+    for c in _edge_masses(m):
+        brackets.clear()
+        got = model.secular_solve(ModelSpec(m, c)).trig_roots
+        want = _scalar_secular(m, c)[0]
+        for lo, hi in brackets:
+            assert got[(lo <= got) & (got <= hi)].tolist() == want[(lo <= want) & (want <= hi)].tolist(), c
+        lanes += len(brackets)
+    assert lanes >= 1
 
 
 def test_secular_batch_raises_per_mass(monkeypatch):
