@@ -69,9 +69,9 @@ class BlockSaddle:
         C = linalg.require_finite(self.C, "C")
         B = np.atleast_2d(linalg.require_finite(self.B, "B"))
         check_shapes(A.shape, B.shape, C.shape)
-        eig_A = linalg.sym_eig(A, "A", psd=True)
+        eig_A = linalg.sym_eig(A, "A")
         C_equals_A = C.shape == A.shape and C.tobytes() == A.tobytes()
-        eig_C = eig_A if C_equals_A else linalg.sym_eig(C, "C", psd=True)
+        eig_C = eig_A if C_equals_A else linalg.sym_eig(C, "C")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -260,7 +260,7 @@ def kirsch_certificate(H: BlockSaddle) -> GapCertificate:
     """
     if not H.C_equals_A:
         raise ValueError("kirsch form needs square blocks with C = A")
-    wa, wb = H.eig_A.values, linalg.sym_eig(H.B, "B", psd=True).values
+    wa, wb = H.eig_A.values, linalg.sym_eig(H.B, "B").values
     if not (linalg.definite(wa) or linalg.definite(wb)):
         raise BothSemidefiniteSingular("both A and B have smallest eigenvalue zero")
     amin = max(float(wa[0]), 0.0)
@@ -314,8 +314,8 @@ def func_calc_AC(A: np.ndarray, C: np.ndarray, f0: float, f1) -> np.ndarray:
     A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
     if A.shape != C.shape:
         raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
-    linalg.sym_eig(A, "A", psd=True)  # the symmetric PSD check; only C's eigenpairs are used
-    wc, VC = linalg.sym_eig(C, "C", psd=True)
+    linalg.sym_eig(A, "A")  # the symmetric PSD check; only C's eigenpairs are used
+    wc, VC = linalg.sym_eig(C, "C")
     R = (VC * np.sqrt(np.clip(wc, 0.0, None))) @ VC.T
     X = R @ A @ R  # symmetric up to rounding of order eps ||A|| ||C||, not of ||X||
     w, V = np.linalg.eigh((X + X.T) / 2.0)

@@ -27,7 +27,7 @@ class NotDefinite(ValueError):
 
 
 class BNotInvertible(ValueError):
-    """Off-diagonal block is not square, so it cannot be inverted."""
+    """Off-diagonal block is not square, or is singular, so it cannot be inverted."""
 
 
 class UnboundedRelativeBound(ValueError):
@@ -35,7 +35,7 @@ class UnboundedRelativeBound(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """Null spaces of the two diagonal blocks have different dimensions."""
+    """Block shapes, or the null-space dimensions of the two diagonal blocks, do not match."""
 
 
 class B22Singular(ValueError):

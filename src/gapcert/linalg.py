@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotFinite, NotPSD, NotSymmetric, UnboundedRelativeBound
+from .errors import NotFinite, NotPSD, NotSymmetric
 
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
@@ -36,13 +36,13 @@ def require_square(shape: tuple[int, ...], name: str = "matrix") -> None:
         raise NotSymmetric(f"{name} must be square, got shape {shape}")
 
 
-def sym_eig(M: np.ndarray, name: str = "matrix", psd: bool = False) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix, values ascending.
+def sym_eig(M: np.ndarray, name: str = "matrix") -> EigenDecomposition:
+    """Eigendecomposition of a symmetric positive semidefinite matrix, values ascending.
 
     The package's one symmetry and semidefiniteness check.  Both
     tolerances are relative to the matrix's own scale: a symmetry defect
-    above 1e-12 of it fails, and with psd=True so does an eigenvalue below
-    -1e-10 of it.  A matrix of +0.0 entries gets (0, I) without LAPACK.
+    above 1e-12 of it fails, and so does an eigenvalue below -1e-10 of it.
+    A matrix of +0.0 entries gets (0, I) without LAPACK.
     """
     M = require_finite(M, name)
     require_square(M.shape, name)
@@ -54,7 +54,7 @@ def sym_eig(M: np.ndarray, name: str = "matrix", psd: bool = False) -> EigenDeco
     if defect > 1e-12 * scale:
         raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
-    if psd and w.size and w[0] < -1e-10 * scale:
+    if w.size and w[0] < -1e-10 * scale:
         raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}, not positive semidefinite")
     return EigenDecomposition(w, V)
 
@@ -96,10 +96,10 @@ def relative_size(M: np.ndarray, U: np.ndarray, s: np.ndarray) -> float:
     U, s come from a thin SVD B = U diag(s) V^T, so G = (B B^T)^{1/2}; with
     V in place of U it is (B^T B)^{1/2}.  The value is taken from
     diag(s)^{-1/2} U^T M U diag(s)^{-1/2}: B B^T is never formed, so scaling
-    M and B by one factor leaves it unchanged at any magnitude.
+    M and B by one factor leaves it unchanged at any magnitude.  G must be
+    invertible (U square, s of full rank): `BlockSaddle.B_full_rank` owns
+    that rank decision, and every caller refuses the saddle through it.
     """
-    if U.shape[0] != s.size or not definite(s):
-        raise UnboundedRelativeBound("coupling is rank deficient; relative bound is infinite")
     d = s**-0.5
     w = np.linalg.eigvalsh(d[:, None] * (U.T @ ((M + M.T) / 2.0) @ U) * d)
     return max(float(w[-1]), 0.0)
@@ -111,7 +111,7 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     Eigenvalues that `sym_eig` accepts as rounding below zero are clipped
     to zero.
     """
-    w, V = sym_eig(M, psd=True)
+    w, V = sym_eig(M)
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 

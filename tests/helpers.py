@@ -7,11 +7,6 @@ import numpy as np
 from gapcert import linalg
 
 
-def rand_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    M = rng.standard_normal((n, n))
-    return scale * (M + M.T) / 2.0
-
-
 def rand_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
     G = rng.standard_normal((n, n if rank is None else rank))
     return G @ G.T

@@ -65,6 +65,15 @@ def test_B_full_rank_is_decided_at_the_larger_dimension():
             DimensionMismatch,
             "dim N(A) = 1 differs from dim N(C) = 0",
         ),
+        # 1e-8 is far above negligible's 2 eps, so N(A) = {0}; a cutoff that counted
+        # it null would certify (-1e-3, 1e-3), which an eigenvalue near -1e-3 violates
+        (
+            lambda: bounds.zero_dichotomy_certificate(
+                BlockSaddle(np.diag([1.0, 1e-8]), np.diag([0.0, 1e-3]), np.diag([1.0, 0.0]))
+            ),
+            DimensionMismatch,
+            "dim N(A) = 0 differs from dim N(C) = 1",
+        ),
         (
             lambda: bounds.func_calc_AC(np.eye(2), np.eye(3), 1.0, lambda x: 1.0),
             DimensionMismatch,
@@ -225,6 +234,15 @@ def test_hbinv_failure_modes():
         bounds.hbinv_certificate(
             BlockSaddle(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
         )
+
+
+def test_hbinv_rank_cutoff_is_two_eps():
+    # B_full_rank decides at max(m, k) eps = 2 eps: 3 eps keeps B invertible, eps does not
+    eps = linalg.EPS
+    cert = bounds.hbinv_certificate(BlockSaddle(np.eye(2), np.diag([1.0, 3.0 * eps]), np.eye(2)))
+    assert cert.quantities["inv_B_norm"] == pytest.approx(1.0 / (3.0 * eps), rel=1e-12)
+    with pytest.raises(UnboundedRelativeBound):
+        bounds.hbinv_certificate(BlockSaddle(np.eye(2), np.diag([1.0, eps]), np.eye(2)))
 
 
 def test_zero_dichotomy_tight_example():

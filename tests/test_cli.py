@@ -198,6 +198,17 @@ def test_stokes_csv(tmp_path, capsys):
     assert abs(float(lines[2].split(",")[2]) - PHI) < 1e-12
 
 
+@pytest.mark.parametrize("B", [[[1.0], [0.0]], [[0.0], [0.0]]])
+def test_stokes_csv_ignores_method(tmp_path, capsys, B):
+    # the CSV is the pencil spectrum alone, even where the method fails in JSON
+    f = write_block(tmp_path / "st.txt", np.eye(2), B)
+    want = run(capsys, "stokes", f, "--format", "csv")
+    assert want[0] == 0 and want[1].startswith("index,branch,value\n")
+    for method in [*cli.STOKES_CERTS, "all"]:
+        assert run(capsys, "stokes", f, "--method", method, "--format", "csv") == want
+    assert run(capsys, "stokes", f, "--method", "new")[0] == 3
+
+
 def test_csv_column_formats_match_per_value_fmt():
     # one %-format per column prints every value as _fmt prints it alone
     rows = [

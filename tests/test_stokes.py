@@ -190,6 +190,12 @@ def test_new_gap_estimate_rank_errors():
         stokes.new_gap_estimate(StokesMatrix(np.eye(2), np.ones((2, 1))))
     with pytest.raises(RankDeficient):
         stokes.new_gap_estimate(StokesMatrix(np.eye(2), np.ones((2, 2))))
+    # singular values (1, 3 eps) of a 2x5 B: rank deficient at max(m, k) eps = 5 eps,
+    # though full at min(m, k) eps = 2 eps
+    B = np.zeros((2, 5))
+    B[0, 0], B[1, 1] = 1.0, 3.0 * np.finfo(float).eps
+    with pytest.raises(RankDeficient):
+        stokes.new_gap_estimate(StokesMatrix(np.eye(2), B))
 
 
 @pytest.mark.parametrize(
