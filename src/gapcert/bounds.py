@@ -467,33 +467,24 @@ def boettcher_psd_split() -> tuple[np.ndarray, np.ndarray]:
     return U @ S @ U.T, Uinv.T @ S @ Uinv
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    """Computed evidence against the bounded-inverse conjecture."""
-
-    omladic: list[tuple[float, float, float]]  # (t, computed norm, closed form)
-    boettcher_norm: float
-    boettcher_inv_norm: float
-    conjecture_violated: bool
-    boettcher_split_residual: float
-    commuting_inv_norm: float
-
-
-def counterexample_suite() -> CounterexampleReport:
+def counterexample_suite() -> dict:
     """Evaluate the inverse-norm counterexamples of the I + AC problem.
 
     The omladic family shows ||(I + AC)^{-1}|| growing like t/3; the
     boettcher matrix violates ||(I + AC)^{-1}|| <= ||I + AC|| outright;
     a commuting pair is included as the contrast where the conjectured
-    inequality does hold.
+    inequality does hold.  Returns the record `gapcert counterexamples
+    --format json` prints, without its curves.
     """
     n3 = np.eye(3)
-    rows = []
+    omladic = []
     for t in (1.0, 10.0, 100.0):
         A, C = omladic_pair(t)
-        computed = linalg.op_norm(np.linalg.inv(np.eye(2) + A @ C))
-        closed = linalg.op_norm(np.array([[2.0, -t], [-1.0 / t, 2.0]])) / 3.0
-        rows.append((t, computed, closed))
+        omladic.append({
+            "t": t,
+            "inverse_norm": linalg.op_norm(np.linalg.inv(np.eye(2) + A @ C)),
+            "closed_form": linalg.op_norm(np.array([[2.0, -t], [-1.0 / t, 2.0]])) / 3.0,
+        })
     M = boettcher_matrix()
     norm = linalg.op_norm(n3 + M)
     inv_norm = linalg.op_norm(np.linalg.inv(n3 + M))
@@ -502,12 +493,9 @@ def counterexample_suite() -> CounterexampleReport:
     # relative to the scale ||As|| ||Cs|| ~ 2e17 at which it was formed
     residual = linalg.op_norm(As @ Cs - M) / (linalg.op_norm(As) * linalg.op_norm(Cs))
     Ac = np.diag([1.0, 2.0])
-    commuting = linalg.op_norm(np.linalg.inv(np.eye(2) + Ac @ Ac))
-    return CounterexampleReport(
-        omladic=rows,
-        boettcher_norm=norm,
-        boettcher_inv_norm=inv_norm,
-        conjecture_violated=inv_norm > norm,
-        boettcher_split_residual=residual,
-        commuting_inv_norm=commuting,
-    )
+    return {
+        "omladic": omladic,
+        "boettcher": {"norm": norm, "inverse_norm": inv_norm, "psd_split_residual": residual},
+        "commuting_inverse_norm": linalg.op_norm(np.linalg.inv(np.eye(2) + Ac @ Ac)),
+        "conjecture_violated": inv_norm > norm,
+    }

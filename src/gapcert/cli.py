@@ -373,39 +373,22 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 
 def _cmd_counterexamples(args) -> str:
-    rep = bounds.counterexample_suite()
+    rec = bounds.counterexample_suite()
     families = ["kirsch_Bt", "scaled_A", "simple"]
     curves = {fam: bounds.nonmono_curve(args.t_range, fam) for fam in families}
     if args.format == "json":
-        return _json({
-            "omladic": [
-                {"t": t, "inverse_norm": v, "closed_form": w} for t, v, w in rep.omladic
-            ],
-            "boettcher": {
-                "norm": rep.boettcher_norm,
-                "inverse_norm": rep.boettcher_inv_norm,
-                "psd_split_residual": rep.boettcher_split_residual,
-            },
-            "commuting_inverse_norm": rep.commuting_inv_norm,
-            "conjecture_violated": rep.conjecture_violated,
-            "curves": {
-                fam: [
-                    {"t": float(t), "min_abs_eigenvalue": float(v)} for t, v in curves[fam]
-                ]
-                for fam in families
-            },
-        })
+        return _json(dict(rec, curves={
+            fam: [{"t": t, "min_abs_eigenvalue": v} for t, v in curves[fam].tolist()] for fam in families
+        }))
+    b = rec["boettcher"]
     lines = ["# omladic inverse norm growth"]
-    lines += [
-        f"# t={_fmt(t)} inverse_norm={_fmt(v)} closed_form={_fmt(w)}" for t, v, w in rep.omladic
-    ]
+    lines += ["# " + " ".join(f"{key}={_fmt(v)}" for key, v in row.items()) for row in rec["omladic"]]
     lines.append(
-        f"# boettcher norm(I+M)={_fmt(rep.boettcher_norm)}"
-        f" inverse_norm={_fmt(rep.boettcher_inv_norm)}"
-        f" psd_split_residual={_fmt(rep.boettcher_split_residual)}"
+        f"# boettcher norm(I+M)={_fmt(b['norm'])} inverse_norm={_fmt(b['inverse_norm'])}"
+        f" psd_split_residual={_fmt(b['psd_split_residual'])}"
     )
-    lines.append(f"# commuting contrast inverse_norm={_fmt(rep.commuting_inv_norm)}")
-    verdict = "VIOLATED" if rep.conjecture_violated else "HOLDS"
+    lines.append(f"# commuting contrast inverse_norm={_fmt(rec['commuting_inverse_norm'])}")
+    verdict = "VIOLATED" if rec["conjecture_violated"] else "HOLDS"
     lines.append(f"# conjecture norm((I+AC)^-1) <= norm(I+AC): {verdict}")
     family = [fam for fam in families for _ in curves[fam]]
     t, v = np.concatenate([curves[fam] for fam in families]).T.tolist()
@@ -465,7 +448,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     ce = sub.add_parser("counterexamples", help="inverse-norm and non-monotonicity evidence")
-    ce.add_argument("--t-range", dest="t_range", type=_t_grid, default="5:20:151")
+    ce.add_argument(
+        "--t-range", dest="t_range", type=_t_grid, default="5:20:151",
+        help="LO:HI:STEPS; write --t-range=LO:HI:STEPS when LO is negative",
+    )
     ce.add_argument("--format", choices=["csv", "json"], default="csv")
     ce.add_argument("--output", default=None)
     ce.set_defaults(func=_cmd_counterexamples)

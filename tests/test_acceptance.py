@@ -31,16 +31,17 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 def test_ac01_boettcher_norms():
     t0 = time.perf_counter()
-    rep = bounds.counterexample_suite()
+    rec = bounds.counterexample_suite()
     elapsed = time.perf_counter() - t0
-    ok = abs(rep.boettcher_norm - 21.177) <= 1e-3
-    ok = ok and abs(rep.boettcher_inv_norm - 43.774) <= 1e-3
-    ok = ok and rep.conjecture_violated and elapsed < 1.0
+    b = rec["boettcher"]
+    ok = abs(b["norm"] - 21.177) <= 1e-3
+    ok = ok and abs(b["inverse_norm"] - 43.774) <= 1e-3
+    ok = ok and rec["conjecture_violated"] and elapsed < 1.0
     _report(
         1,
         ok,
-        f"norm(I+M) = {rep.boettcher_norm:.6f}, norm((I+M)^-1) = "
-        f"{rep.boettcher_inv_norm:.6f}, {elapsed * 1e3:.0f} ms",
+        f"norm(I+M) = {b['norm']:.6f}, norm((I+M)^-1) = "
+        f"{b['inverse_norm']:.6f}, {elapsed * 1e3:.0f} ms",
     )
 
 

@@ -181,12 +181,12 @@ def test_omladic_growth():
 
 
 def test_boettcher_norms_and_split():
-    rep = bounds.counterexample_suite()
-    assert rep.boettcher_norm == pytest.approx(21.176753, abs=1e-6)
-    assert rep.boettcher_inv_norm == pytest.approx(43.773534, abs=1e-6)
-    assert rep.conjecture_violated
-    assert rep.boettcher_split_residual < 1e-15
-    assert rep.commuting_inv_norm == pytest.approx(0.5)
+    rec = bounds.counterexample_suite()
+    assert rec["boettcher"]["norm"] == pytest.approx(21.176753, abs=1e-6)
+    assert rec["boettcher"]["inverse_norm"] == pytest.approx(43.773534, abs=1e-6)
+    assert rec["conjecture_violated"]
+    assert rec["boettcher"]["psd_split_residual"] < 1e-15
+    assert rec["commuting_inverse_norm"] == pytest.approx(0.5)
     As, Cs = bounds.boettcher_psd_split()
     assert np.min(np.linalg.eigvalsh(As)) > 0.0
     assert np.min(np.linalg.eigvalsh(Cs)) > 0.0

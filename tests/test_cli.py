@@ -455,6 +455,21 @@ def test_counterexamples_bad_range_exit2(capsys):
     assert run(capsys, "counterexamples", "--t-range", "5:20:1")[0] == 2
 
 
+def test_counterexamples_negative_t_range_takes_equals_form(capsys):
+    # argparse reads "--t-range -5:5:11" as a missing value; the = form works
+    code, out, _ = run(capsys, "counterexamples", "--t-range=-5:5:11")
+    assert code == 0
+    data = [line for line in out.strip().split("\n") if not line.startswith("#")]
+    assert data[0] == "family,t,min_abs_eigenvalue" and len(data) == 1 + 3 * 11
+
+
+def test_counterexample_suite_is_the_json_record(capsys):
+    code, out, _ = run(capsys, "counterexamples", "--format", "json")
+    payload = json.loads(out)
+    del payload["curves"]
+    assert code == 0 and payload == bounds.counterexample_suite()
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [
@@ -507,6 +522,13 @@ def test_verdict_margin_is_scale_relative(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bounds, "diag_gap", lambda S: wide)
     code, out, _ = run(capsys, "bounds", f, "--method", "diag")
     assert code == 0 and json.loads(out)["verdict"] == "UNSOUND"
+
+
+@pytest.mark.parametrize("f, want", [(5e-9, "SOUND"), (2e-8, "UNSOUND")])
+def test_verdict_inverse_norm_slack(f, want):
+    # ||H^-1|| = 1 / (1 - f) against a claimed bound of 1 passes within 1e-8
+    cert = bounds.GapCertificate("x", (-0.5, 0.5), "excludes_all", 1.0, {})
+    assert cli._verdict(cert, np.array([-(1.0 - f), 3.0])) == want
 
 
 def test_repeat_runs_identical(tmp_path, capsys):

@@ -36,6 +36,17 @@ def test_sym_eig_rejects_asymmetric():
         linalg.sym_eig(1e-13 * np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_sym_eig_cutoffs_are_sharp():
+    # diag(1, w) has scale max|M| * n = 2: eigenvalues down to -1e-10 * 2 pass
+    linalg.sym_eig(np.diag([1.0, -1.9e-10]))
+    with pytest.raises(NotPSD):
+        linalg.sym_eig(np.diag([1.0, -2.1e-10]))
+    # and symmetry defects up to 1e-12 * 2
+    linalg.sym_eig(np.array([[1.0, 0.0], [1.9e-12, 1.0]]))
+    with pytest.raises(NotSymmetric):
+        linalg.sym_eig(np.array([[1.0, 0.0], [2.1e-12, 1.0]]))
+
+
 def test_sym_eig_rejects_rectangular():
     with pytest.raises(NotSymmetric, match=r"^matrix must be square, got shape \(2, 3\)$"):
         linalg.sym_eig(np.ones((2, 3)))

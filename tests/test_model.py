@@ -957,3 +957,30 @@ def test_scan_htilde_within_backward_bound_of_dense(m, capsys):
             dense = np.linalg.eigvalsh(model.build_Htilde(spec))
             bound = 2 * (2 * m) * linalg.EPS * np.max(np.abs(dense))
             assert got.size == 2 * m and np.max(np.abs(got - dense)) <= bound, (m, seed, M)
+
+
+def _pair_at(m: int, c: float, factor: float) -> dict:
+    # a central pair at factor times twice the estimated singular value
+    x = factor * 2.0 * np.exp(model.spurious_estimate(ModelSpec(m, c)).log_sigma_est)
+    return model.stable_gap_pattern(m, c, np.array([-3.0, -x, x, 3.0]))
+
+
+@pytest.mark.parametrize("factor, ok", [(1.009, True), (1.011, False)])
+def test_stable_gap_pattern_central_pair_within_one_percent(factor, ok):
+    assert _pair_at(50, 0.8, factor)["ok"] is ok
+
+
+@pytest.mark.parametrize("t, ok", [(9.99, True), (10.01, False)])
+def test_stable_gap_pattern_checks_magnitude_from_2m_alpha0_of_10(t, ok):
+    # c = exp(-t / 40) gives 2 m alpha0 = t at m = 20
+    assert _pair_at(20, float(np.exp(-t / 40.0)), 1.5)["ok"] is ok
+
+
+@pytest.mark.parametrize("t, calls", [(599.0, 1), (601.0, 0)])
+def test_hyp_root_takes_the_asymptote_beyond_2m_alpha0_of_600(t, calls, monkeypatch):
+    # c = exp(-t / 600) gives 2 m alpha0 = t at m = 300
+    seen = []
+    bisect = model._bisect
+    monkeypatch.setattr(model, "_bisect", lambda *a: seen.append(a) or bisect(*a))
+    model._hyp_root(300, float(np.exp(-t / 600.0)))
+    assert len(seen) == calls
