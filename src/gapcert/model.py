@@ -239,15 +239,7 @@ def _F(m: int, c: float, al: np.ndarray | float):
     return (1.0 - c * np.cos(al)) * np.sin(m * al) - c * np.cos(m * al) * np.sin(al)
 
 
-def _dF(m: int, c: float, al: np.ndarray):
-    return (
-        (1.0 + m) * c * np.sin(al) * np.sin(m * al)
-        + m * (1.0 - c * np.cos(al)) * np.cos(m * al)
-        - c * np.cos(al) * np.cos(m * al)
-    )
-
-
-def _newton(f, lo: np.ndarray, hi: np.ndarray, al: np.ndarray, neg: np.ndarray, passes: int):
+def _newton(f, lo: np.ndarray, hi: np.ndarray, al: np.ndarray, neg: np.ndarray):
     """Bracket-safeguarded Newton on every bracket [lo[i], hi[i]] of the elementwise f together.
 
     neg[i] tells whether f < 0 at lo[i], and al holds the start points.
@@ -258,14 +250,14 @@ def _newton(f, lo: np.ndarray, hi: np.ndarray, al: np.ndarray, neg: np.ndarray, 
     to al; the Newton point is taken where it stays inside the bracket,
     the bracket's midpoint otherwise.  A lane is done, and keeps its
     value, once its Newton step is within 4 eps of al (rounding level).
-    Returns the points and the done mask after at most `passes` passes.
+    Returns the points and the done mask after at most 10 passes.
     """
     h = 1e-100
     tol = 4.0 * np.finfo(float).eps
     sign = np.where(neg, -1.0, 1.0)
     done = np.zeros(al.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(passes):
+        for _ in range(10):
             z = f(al + 1j * h)
             g = sign * z.real
             lo = np.where(g >= 0.0, al, lo)
@@ -365,9 +357,9 @@ def secular_solve(spec: ModelSpec | Sequence[ModelSpec]) -> SecularRoots | list[
     array evaluations in all.  Lanes still moving after 10 passes hold
     roots in the rounding noise of F (near m (1 - c) = c, where the
     smallest root tends to 0); each is finished alone by _bisect, at
-    most 80 steps on its bracket, and up to three Newton steps that stay
-    inside it.  The hyperbolic root, when has_central_pair demands one,
-    is solved separately near alpha0 by _hyp_root.
+    most 80 steps on its bracket.  The hyperbolic root, when
+    has_central_pair demands one, is solved separately near alpha0 by
+    _hyp_root.
 
     A sequence of specs of one size m is solved as one batch and gives a
     list of roots, one per spec: the brackets of every mass share the
@@ -419,19 +411,10 @@ def secular_solve(spec: ModelSpec | Sequence[ModelSpec]) -> SecularRoots | list[
     theta = np.arctan2(c * np.sin(mid), 1.0 - c * np.cos(mid))
     j = np.round((m * mid - theta) / np.pi)
     start = np.clip((j * np.pi + theta) / m, lo, hi)
-    al, done = _newton(lambda t: _F(m, c, t), lo, hi, start, vals[:-1][bracket] < 0.0, 10)
-    # roots in F's rounding noise (near m (1 - c) = c): bisect each, then polish by Newton
+    al, done = _newton(lambda t: _F(m, c, t), lo, hi, start, vals[:-1][bracket] < 0.0)
+    # roots in F's rounding noise (near m (1 - c) = c): bisect each on its bracket
     for i in np.flatnonzero(~done):
-        r = _bisect(partial(_F, m, c[i]), lo[i], hi[i], 80)
-        for _ in range(3):
-            d = _dF(m, c[i], r)
-            if d == 0.0:
-                break
-            nxt = r - _F(m, c[i], r) / d
-            if not lo[i] < nxt < hi[i]:
-                break
-            r = nxt
-        al[i] = r
+        al[i] = _bisect(partial(_F, m, c[i]), lo[i], hi[i], 80)
     lanes, zeros = owner[:-1][bracket], owner[:-1][exact]
     solved = []
     for i, s in enumerate(specs):

@@ -245,6 +245,16 @@ def test_hbinv_rank_cutoff_is_two_eps():
         bounds.hbinv_certificate(BlockSaddle(np.eye(2), np.diag([1.0, eps]), np.eye(2)))
 
 
+def test_zero_dichotomy_null_cutoff_is_two_eps():
+    # negligible counts x <= n eps max|x| as zero, 2 eps here: 1.5 eps joins N(A), 3 eps does not
+    eps = linalg.EPS
+    C = np.diag([1.0, 0.0])
+    cert = bounds.zero_dichotomy_certificate(BlockSaddle(np.diag([1.0, 1.5 * eps]), np.eye(2), C))
+    assert cert.quantities["null_dim"] == 1.0
+    with pytest.raises(DimensionMismatch, match=r"dim N\(A\) = 0 differs"):
+        bounds.zero_dichotomy_certificate(BlockSaddle(np.diag([1.0, 3.0 * eps]), np.eye(2), C))
+
+
 def test_zero_dichotomy_tight_example():
     S = BlockSaddle(np.diag([1.0, 0.0]), np.eye(2), np.diag([1.0, 0.0]))
     cert = bounds.zero_dichotomy_certificate(S)

@@ -1,6 +1,7 @@
 """Chain-model builders, secular roots, gap checks, and disorder runs."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def _scalar_hyp_root(m, c):
 
 
 def _scalar_secular(m, c):
-    """Bracket-by-bracket reference: one scalar bisection and Newton polish per root."""
+    """Bracket-by-bracket reference: one scalar bisection per root."""
     hyp = 0.0 < c < 1.0 and m * (1.0 - c) - c > 0.0
     pts = [1e-12] + [(2 * j - 1) * np.pi / (2 * m) for j in range(1, m + 1)] + [np.pi - 1e-12]
     alpha_hat = float(np.arccos(1.0 / c)) if c > 1.0 else None
@@ -204,16 +205,7 @@ def _scalar_secular(m, c):
             continue
         if (flo < 0.0) == (fhi < 0.0):
             continue
-        al = _scalar_bisect(lambda t: float(model._F(m, c, t)), lo, hi, 80)
-        for _ in range(3):
-            d = float(model._dF(m, c, al))
-            if d == 0.0:
-                break
-            step = float(model._F(m, c, al)) / d
-            if not lo < al - step < hi:
-                break
-            al -= step
-        roots.append(al)
+        roots.append(_scalar_bisect(lambda t: float(model._F(m, c, t)), lo, hi, 80))
     return np.asarray(sorted(set(roots))), _scalar_hyp_root(m, c) if hyp else None, alpha_hat
 
 
@@ -641,7 +633,7 @@ def test_secular_batch_equals_per_mass_solves(m, monkeypatch):
 @pytest.mark.parametrize("m", [2, 4, 9, 40, 300])
 def test_secular_fallback_lanes_equal_scalar_reference(m, monkeypatch):
     # a lane _newton leaves open takes _scalar_secular's steps: at most 80
-    # halvings on its bracket, then the Newton steps that stay inside it
+    # halvings on its bracket
     brackets = _fallback_brackets(monkeypatch)
     lanes = 0
     for c in _edge_masses(m):
@@ -652,6 +644,19 @@ def test_secular_fallback_lanes_equal_scalar_reference(m, monkeypatch):
             assert got[(lo <= got) & (got <= hi)].tolist() == want[(lo <= want) & (want <= hi)].tolist(), c
         lanes += len(brackets)
     assert lanes >= 1
+
+
+def test_secular_fallback_lane_ends_on_bisection(monkeypatch):
+    # the root of a lane _newton leaves open is the bisection's midpoint,
+    # bit for bit: no step after it moves the root
+    m, c = 9, 0.9000000009000001
+    bisect = model._bisect
+    brackets = _fallback_brackets(monkeypatch)
+    got = model.secular_solve(ModelSpec(m, c)).trig_roots
+    assert len(brackets) >= 1
+    for lo, hi in brackets:
+        inside = got[(lo <= got) & (got <= hi)]
+        assert inside.tolist() == [bisect(partial(model._F, m, c), lo, hi, 80)]
 
 
 def test_secular_batch_raises_per_mass(monkeypatch):
@@ -767,6 +772,17 @@ def test_certified_modified_spectrum_count_mismatch(monkeypatch):
         model.modified_spectrum_certified(ModelSpec(4, 0.0, DisorderSpec(-1.0, 1.0, 0)))
     with pytest.raises(OverflowError):
         model.modified_spectrum_certified(ModelSpec(3, 1e200))
+
+
+def test_certified_clusters_join_below_two_delta():
+    # at m = 2, G = 2 and delta = 64 eps G ~ 2.84e-14: positive values closer
+    # than 2 delta form one cluster, whose spread the radius then covers
+    two_delta = 256 * np.finfo(float).eps
+    for c, clustered in ((1.5e-14, True), (3e-14, False)):
+        cert = model.modified_spectrum_certified(ModelSpec(2, c))
+        gap = float(np.diff(cert.values[2:])[0])
+        assert (0.0 < gap < two_delta) == clustered, c
+        assert (cert.certified_radius >= gap) == clustered, (c, cert.certified_radius)
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 50, 300])

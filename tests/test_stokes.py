@@ -138,6 +138,17 @@ def test_ruwa_axel_soundness_and_nesting():
         _assert_nested(mini, axel, tol)
 
 
+def test_ruwa_ends_are_tight_for_scalar_blocks():
+    # with A = a I and B = b I the minimal and ruwa ends coincide: both ends of
+    # I_minus are (a - sqrt(a^2 + 4 b^2))/2 and I_plus ends at (a + sqrt(a^2 + 4 b^2))/2
+    S = StokesMatrix(2.0 * np.eye(2), 3.0 * np.eye(2))
+    ruwa = stokes.ruwa_intervals(S)
+    w = np.linalg.eigvalsh(S.assemble())
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(w))
+    assert np.all(np.abs(np.array(ruwa.i_minus) - w[0]) <= tol)
+    assert ruwa.i_plus[0] == 2.0 and abs(ruwa.i_plus[1] - w[-1]) <= tol
+
+
 def test_ruwa_axel_precondition_errors():
     rng = np.random.default_rng(37)
     singular_A = rand_psd(rng, 3, rank=2)
