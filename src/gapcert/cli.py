@@ -42,7 +42,7 @@ LN10 = float(np.log(10.0))
 
 
 def _column_format(v) -> str:
-    # the %-format of a non-bool value; _fmt and _csv spell bools true/false first
+    # the %-format of an int, a float or a str, numpy scalars included
     if isinstance(v, (int, np.integer)):
         return "%d"
     if isinstance(v, (float, np.floating)):
@@ -50,21 +50,15 @@ def _column_format(v) -> str:
     return "%s"
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    return _column_format(v) % v
-
-
 def _csv(header: list[str], columns) -> str:
     """CSV text from equal-length columns, each printed with one %-format chosen from its first value.
 
-    The columns fill one row-major list by slice assignment and one % formats it; bools print true/false.
+    The columns fill one row-major list by slice assignment and one % formats it.
     """
     n, k = len(columns[0]), len(columns)
     flat = [None] * (n * k)
     for j, column in enumerate(columns):
-        flat[j::k] = [_fmt(v) for v in column] if n and isinstance(column[0], (bool, np.bool_)) else column
+        flat[j::k] = column
     line = ",".join(_column_format(v) for v in flat[:k])
     return ",".join(header) + "\n" + "".join([line + "\n"] * n) % tuple(flat)
 
@@ -74,8 +68,6 @@ def _json(payload) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
@@ -145,37 +137,9 @@ STOKES_CERTS = {
 }
 
 
-def _certify(certs: dict, method: str, S: bounds.BlockSaddle, entry) -> dict:
-    """name -> entry(name, result) for one method, whose failure raises, or for "all", failures skipped."""
-    if method != "all":
-        return {method: entry(method, certs[method](S))}
-    entries = {}
-    for name, cert in certs.items():
-        try:
-            result = cert(S)
-        except ValueError as exc:
-            entries[name] = {"skipped": str(exc)}
-        else:
-            entries[name] = entry(name, result)
-    return entries
-
-
-def _cmd_bounds(args) -> str:
-    S = matio.read_block_saddle(args.file)
-
-    def entry(name: str, cert: bounds.GapCertificate) -> dict:
-        e = {"certificate": asdict(cert), "verdict": _verdict(cert, S.eigvals_H)}
-        return dict(e, oracle=_oracle(S.eigvals_H)) if name == "kirsch" else e
-
-    results = [dict(e, method=name) for name, e in _certify(BOUND_CERTS, args.method, S, entry).items()]
-    if args.method == "all":
-        payload = {"input": str(args.file), "oracle": _oracle(S.eigvals_H), "results": results}
-    else:
-        payload = dict(results[0], input=str(args.file))
-    return _json(payload)
-
-
-def _pair_verdict(pair: stokes.IntervalPair, ps: stokes.PencilSpectrum, margin: float) -> str:
+def _pair_verdict(pair: stokes.IntervalPair, S: bounds.BlockSaddle) -> str:
+    """Check branch enclosures against the pencil spectrum of S, within the margin of its eigenvalues."""
+    ps, margin = stokes.pencil_spectrum(S), _margin(S.eigvals_H)
     neg = ps.strict_minus
     lo, hi = pair.i_minus
     ok = neg.size == 0 or (float(neg[0]) >= lo - margin and float(neg[-1]) <= hi + margin)
@@ -185,6 +149,38 @@ def _pair_verdict(pair: stokes.IntervalPair, ps: stokes.PencilSpectrum, margin: 
     return "SOUND" if ok else "UNSOUND"
 
 
+def _entry(result: bounds.GapCertificate | stokes.IntervalPair, S: bounds.BlockSaddle) -> dict:
+    """The printed entry of one result: a pair's fields or a certificate, and its verdict against S."""
+    if isinstance(result, stokes.IntervalPair):
+        return dict(asdict(result), verdict=_pair_verdict(result, S))
+    return {"certificate": asdict(result), "verdict": _verdict(result, S.eigvals_H)}
+
+
+def _certify(certs: dict, method: str, S: bounds.BlockSaddle) -> dict:
+    """name -> entry for one method, whose failure raises, or for "all", failures skipped."""
+    if method != "all":
+        return {method: _entry(certs[method](S), S)}
+    entries = {}
+    for name, cert in certs.items():
+        try:
+            result = cert(S)
+        except ValueError as exc:
+            entries[name] = {"skipped": str(exc)}
+        else:
+            entries[name] = _entry(result, S)
+    return entries
+
+
+def _cmd_bounds(args) -> str:
+    S = matio.read_block_saddle(args.file)
+    results = [dict(e, method=name) for name, e in _certify(BOUND_CERTS, args.method, S).items()]
+    if args.method == "all":
+        payload = {"input": str(args.file), "oracle": _oracle(S.eigvals_H), "results": results}
+    else:
+        payload = dict(results[0], input=str(args.file))
+    return _json(payload)
+
+
 def _cmd_stokes(args) -> str:
     S = matio.read_block_saddle(args.file)
     ps = stokes.pencil_spectrum(S)
@@ -192,16 +188,9 @@ def _cmd_stokes(args) -> str:
         lm, lp = ps.lambda_minus.tolist(), ps.lambda_plus.tolist()
         index = [*range(1, len(lm) + 1), *range(1, len(lp) + 1)]
         return _csv(["index", "branch", "value"], (index, ["minus"] * len(lm) + ["plus"] * len(lp), lm + lp))
-    evals = S.eigvals_H
-
-    def entry(name: str, r) -> dict:
-        if isinstance(r, stokes.IntervalPair):
-            return dict(asdict(r), verdict=_pair_verdict(r, ps, _margin(evals)))
-        return {"certificate": asdict(r), "verdict": _verdict(r, evals)}
-
     payload = {
         "input": str(args.file),
-        "intervals": _certify(STOKES_CERTS, args.method, S, entry),
+        "intervals": _certify(STOKES_CERTS, args.method, S),
         "spectrum": {
             "lambda_minus": [float(v) for v in ps.lambda_minus],
             "lambda_plus": [float(v) for v in ps.lambda_plus],
@@ -354,7 +343,7 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
             if radius > 0.0:
                 gap_ok = gap_ok and float(np.min(np.abs(wt[i]))) >= radius - 1e-9 * scale[i]
             _, (_, band) = model.symbol_spectrum(c)
-            body = np.sort(np.abs(wh[i]))[2:] if c < 1.0 else np.abs(wh[i])
+            body = np.sort(np.abs(wh[i]))[2:] if model.has_central_pair(m, c) else np.abs(wh[i])
             viol = np.maximum(band[0] - body, body - band[1]).max(initial=0.0)
             note("symbol_containment", max(viol, 0.0) / scale[i])
 
@@ -369,7 +358,7 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
 def _cmd_verify(args) -> tuple[str, int]:
     results = _model_verify(args.m, args.c)
     lines = [f"{'PASS' if ok else 'FAIL'} {name} ({detail})" for name, ok, detail in results]
-    return "\n".join(lines), 0 if all(ok for _, ok, _ in results) else 1
+    return "\n".join(lines) + "\n", 0 if all(ok for _, ok, _ in results) else 1
 
 
 def _cmd_counterexamples(args) -> str:
@@ -380,14 +369,17 @@ def _cmd_counterexamples(args) -> str:
         return _json(dict(rec, curves={
             fam: [{"t": t, "min_abs_eigenvalue": v} for t, v in curves[fam].tolist()] for fam in families
         }))
+
+    def fields(pairs) -> str:
+        return " ".join(f"{key}={_column_format(v) % v}" for key, v in pairs)
+
     b = rec["boettcher"]
     lines = ["# omladic inverse norm growth"]
-    lines += ["# " + " ".join(f"{key}={_fmt(v)}" for key, v in row.items()) for row in rec["omladic"]]
-    lines.append(
-        f"# boettcher norm(I+M)={_fmt(b['norm'])} inverse_norm={_fmt(b['inverse_norm'])}"
-        f" psd_split_residual={_fmt(b['psd_split_residual'])}"
-    )
-    lines.append(f"# commuting contrast inverse_norm={_fmt(rec['commuting_inverse_norm'])}")
+    lines += ["# " + fields(row.items()) for row in rec["omladic"]]
+    lines.append("# boettcher " + fields(
+        [("norm(I+M)", b["norm"]), ("inverse_norm", b["inverse_norm"]), ("psd_split_residual", b["psd_split_residual"])]
+    ))
+    lines.append("# commuting contrast " + fields([("inverse_norm", rec["commuting_inverse_norm"])]))
     verdict = "VIOLATED" if rec["conjecture_violated"] else "HOLDS"
     lines.append(f"# conjecture norm((I+AC)^-1) <= norm(I+AC): {verdict}")
     family = [fam for fam in families for _ in curves[fam]]

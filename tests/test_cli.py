@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gapcert
-from gapcert import bounds, cli, model
+from gapcert import bounds, cli, model, stokes
 from gapcert.cli import main
 
 from helpers import block_text, count_factorizations, rand_pd
@@ -52,12 +52,10 @@ def test_bounds_all_on_kirsch_pair(tmp_path, capsys):
     assert abs(payload["oracle"]["min_abs_eigenvalue"] - np.sqrt(2.0)) < 1e-12
     by_method = {r["method"]: r for r in payload["results"]}
     assert set(by_method) == {"diag", "stretch", "hbinv", "zero-dichotomy", "kirsch", "winklmeier"}
-    assert all("certificate" in r for r in by_method.values())
+    assert all(r.keys() == {"method", "certificate", "verdict"} for r in by_method.values())
     assert np.allclose(by_method["diag"]["certificate"]["interval"], [-1.0, 1.0])
     assert all(r["verdict"] == "SOUND" for r in by_method.values())
-    # the kirsch entry certifies its own assembled form and carries its oracle
     assert abs(by_method["kirsch"]["certificate"]["interval"][1] - np.sqrt(2.0)) < 1e-12
-    assert abs(by_method["kirsch"]["oracle"]["min_abs_eigenvalue"] - np.sqrt(2.0)) < 1e-12
     assert by_method["winklmeier"]["certificate"]["interval"] == [0.0, 0.0]
 
 
@@ -210,15 +208,15 @@ def test_stokes_csv_ignores_method(tmp_path, capsys, B):
 
 
 def test_csv_column_formats_match_per_value_fmt():
-    # one %-format per column prints every value as _fmt prints it alone
+    # one %-format per column prints every value as its own %-format prints it alone
     rows = [
-        (True, 1, 0.1, "a", np.float64(1e-300), np.int64(-7), np.float32(0.1)),
-        (np.bool_(False), np.int64(2), 2.0 / 3.0, "b", np.float64(-0.0), 12, np.float32(3.0)),
+        (1, 0.1, "a", np.float64(1e-300), np.int64(-7), np.float32(0.1)),
+        (np.int64(2), 2.0 / 3.0, "b", np.float64(-0.0), 12, np.float32(3.0)),
     ]
-    header = ["b", "i", "f", "s", "g", "j", "h"]
-    want = ",".join(header) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+    header = ["i", "f", "s", "g", "j", "h"]
+    want = ",".join(header) + "\n" + "".join(",".join(cli._column_format(v) % v for v in row) + "\n" for row in rows)
     assert cli._csv(header, list(zip(*rows))) == want
-    assert want.splitlines()[1] == "true,1,0.10000000000000001,a,1e-300,-7,0.10000000149011612"
+    assert want.splitlines()[1] == "1,0.10000000000000001,a,1e-300,-7,0.10000000149011612"
     assert cli._csv(header, [[] for _ in header]) == ",".join(header) + "\n"
 
 
@@ -531,6 +529,43 @@ def test_verdict_inverse_norm_slack(f, want):
     assert cli._verdict(cert, np.array([-(1.0 - f), 3.0])) == want
 
 
+@pytest.mark.parametrize("f, want", [(0.5, "SOUND"), (2.0, "UNSOUND")])
+def test_verdict_margin_is_1e10_of_the_largest_eigenvalue(tmp_path, capsys, monkeypatch, f, want):
+    # H = [[1, 1], [1, -1]] has eigenvalues -sqrt(2) and sqrt(2), so the margin is 1e-10 sqrt(2);
+    # a certificate ending f margins past sqrt(2) holds that eigenvalue inside only for f > 1
+    path = write_block(tmp_path / "s.txt", [[1.0]], [[1.0]], [[1.0]])
+    lam = np.sqrt(2.0)
+    cert = bounds.GapCertificate("diag_gap", (0.0, lam + f * 1e-10 * lam), "excludes_all", None)
+    monkeypatch.setattr(bounds, "diag_gap", lambda S: cert)
+    code, out, _ = run(capsys, "bounds", path, "--method", "diag")
+    assert code == 0 and json.loads(out)["verdict"] == want
+
+
+@pytest.mark.parametrize("side, end", [("i_plus", 0), ("i_plus", 1), ("i_minus", 0), ("i_minus", 1)])
+@pytest.mark.parametrize("f, want", [(0.5, "SOUND"), (2.0, "UNSOUND")])
+def test_pair_verdict_margin(tmp_path, capsys, monkeypatch, side, end, f, want):
+    # A = B = [[1]] has the branch eigenvalues 1 - phi and phi, and the margin is 1e-10 phi;
+    # an enclosure with one end f margins short of its eigenvalue misses it only for f > 1
+    path = write_block(tmp_path / "st.txt", [[1.0]], [[1.0]])
+    gap = f * 1e-10 * PHI
+    ends = {"i_minus": (1.0 - PHI, 1.0 - PHI), "i_plus": (PHI, PHI)}
+    lam = ends[side][0]
+    ends[side] = (lam + gap, lam + 1.0) if end == 0 else (lam - 1.0, lam - gap)
+    monkeypatch.setattr(stokes, "ruwa_intervals", lambda S: stokes.IntervalPair(**ends, source="ruwa"))
+    code, out, _ = run(capsys, "stokes", path, "--method", "ruwa")
+    assert code == 0 and json.loads(out)["intervals"]["ruwa"]["verdict"] == want
+
+
+def test_stokes_new_verdict_ignores_the_zero_eigenvalue(tmp_path, capsys):
+    # H = [[1, 1, 1], [1, 0, 0], [1, 0, 0]] has eigenvalues -1, 0 and 2; the new estimate
+    # (-1, sqrt(2)) excludes only nonzero eigenvalues, so the zero inside it is no fault
+    path = write_block(tmp_path / "z.txt", [[1.0]], [[1.0, 1.0]])
+    code, out, _ = run(capsys, "stokes", path, "--method", "new")
+    entry = json.loads(out)["intervals"]["new"]
+    assert code == 0 and np.allclose(entry["certificate"]["interval"], [-1.0, np.sqrt(2.0)])
+    assert entry["certificate"]["claim"] == "excludes_nonzero" and entry["verdict"] == "SOUND"
+
+
 def test_repeat_runs_identical(tmp_path, capsys):
     f = write_block(tmp_path / "k.txt", [[2.0, -1.0], [-1.0, 2.0]], np.eye(2), "zero")
     outs = set()
@@ -553,6 +588,20 @@ def test_model_verify_passes_at_large_mass(capsys, c):
 def test_model_verify_grid_without_central_pair(capsys):
     code, out, _ = run(capsys, "model", "verify", "-m", "2,3", "-c", "0.0,0.7,0.8,1.0,1.5")
     assert code == 0, out
+
+
+def test_model_verify_symbol_containment_without_central_pair(capsys, monkeypatch):
+    # m = 2, c = 0.7 has no central pair (m (1 - c) < c), so all four |lambda| (0.720 twice,
+    # 2.720 twice) must lie in the band; a band that starts at 1.0 fails the check
+    real = model.symbol_spectrum
+
+    def band_from_one(c):
+        w_band, (_, (_, h_hi)) = real(c)
+        return w_band, ((-h_hi, -1.0), (1.0, h_hi))
+
+    monkeypatch.setattr(model, "symbol_spectrum", band_from_one)
+    code, out, _ = run(capsys, "model", "verify", "-m", "2", "-c", "0.7")
+    assert code == 1 and "FAIL symbol_containment" in out
 
 
 def test_each_saddle_factorized_once(tmp_path, capsys, monkeypatch):

@@ -61,6 +61,12 @@ MUTANTS = [
      "defect > 1e-12 * scale", "defect > 1e-13 * scale"),
     ("_verdict slack 1e-8 -> 1e-7", "src/gapcert/cli.py", ">= 1.0 - 1e-8", ">= 1.0 - 1e-7"),
     ("_verdict slack 1e-8 -> 1e-9", "src/gapcert/cli.py", ">= 1.0 - 1e-8", ">= 1.0 - 1e-9"),
+    ("_margin 1e-10 -> 1e-9", "src/gapcert/cli.py", "return 1e-10 * max(", "return 1e-9 * max("),
+    ("_margin 1e-10 -> 1e-11", "src/gapcert/cli.py", "return 1e-10 * max(", "return 1e-11 * max("),
+    ("_pair_verdict always SOUND", "src/gapcert/cli.py",
+     'return "SOUND" if ok else "UNSOUND"', 'return "SOUND"'),
+    ("_verdict without the excludes_nonzero filter", "src/gapcert/cli.py",
+     '    if cert.claim == "excludes_nonzero":\n        inside = inside[np.abs(inside) > margin]\n', ""),
     ("stable_gap_pattern 1e-2 -> 2e-2", "src/gapcert/model.py", "(1.0 + 1e-2)", "(1.0 + 2e-2)"),
     ("stable_gap_pattern 1e-2 -> 5e-3", "src/gapcert/model.py", "(1.0 + 1e-2)", "(1.0 + 5e-3)"),
     ("stable_gap_pattern >= 10 -> >= 20", "src/gapcert/model.py",
