@@ -305,26 +305,6 @@ def winklmeier_certificate(H: BlockSaddle) -> GapCertificate:
     )
 
 
-def func_calc_AC(A: np.ndarray, C: np.ndarray, f0: float, f1) -> np.ndarray:
-    """Evaluate f(AC) = f0 I + A C^(1/2) f1(C^(1/2) A C^(1/2)) C^(1/2).
-
-    Meaningful for functions with f(x) = f0 + x f1(x); the inner argument
-    is symmetric PSD, so f1 only ever sees the nonnegative eigenvalues.
-    """
-    A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
-    if A.shape != C.shape:
-        raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
-    linalg.sym_eig(A, "A")  # the symmetric PSD check; only C's eigenpairs are used
-    wc, VC = linalg.sym_eig(C, "C")
-    R = (VC * np.sqrt(np.clip(wc, 0.0, None))) @ VC.T
-    X = R @ A @ R  # symmetric up to rounding of order eps ||A|| ||C||, not of ||X||
-    w, V = np.linalg.eigh((X + X.T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    vals = np.asarray([float(f1(x)) for x in w])
-    F = (V * vals) @ V.T
-    return f0 * np.eye(A.shape[0]) + A @ R @ F @ R
-
-
 @dataclass(frozen=True)
 class Quartic4x4Params:
     """Parameters of the 4x4 closed form for H = [[A, B], [B*, -A]].

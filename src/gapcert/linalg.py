@@ -105,16 +105,6 @@ def relative_size(M: np.ndarray, U: np.ndarray, s: np.ndarray) -> float:
     return max(float(w[-1]), 0.0)
 
 
-def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a positive semidefinite matrix.
-
-    Eigenvalues that `sym_eig` accepts as rounding below zero are clipped
-    to zero.
-    """
-    w, V = sym_eig(M)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-
-
 class _Kernels(NamedTuple):
     dlasq1: Callable[..., None]
     dsterf: Callable[..., None]

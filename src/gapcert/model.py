@@ -534,18 +534,6 @@ def build_Htilde(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     return H
 
 
-def build_Ktilde(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
-    """Boundary-modified K_tilde: K with +2 at the first and -2 at the last diagonal entry.
-
-    Back in the H picture that is build_Htilde's rank-two change.  Stacks
-    as build_Hc.
-    """
-    Kt = build_Kc(spec)
-    Kt[..., 0, 0] += 2.0
-    Kt[..., -1, -1] -= 2.0
-    return Kt
-
-
 def modified_spectrum_closed_form(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """Eigenvalues of H_tilde^2, each twice, ascending; stacks as build_Hc.
 
@@ -561,7 +549,8 @@ def modified_spectrum_closed_form(spec: ModelSpec | Sequence[ModelSpec]) -> np.n
 def ktilde_bands(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """K_tilde as a symmetric tridiagonal (diagonal, off-diagonal), built in O(m).
 
-    The perfect shuffle (t_1, b_1, t_2, b_2, ...) of build_Ktilde's two
+    K_tilde is build_Kc's matrix with +2 at its first and -2 at its last
+    diagonal entry.  The perfect shuffle (t_1, b_1, t_2, b_2, ...) of its
     halves puts X_ii = d_i between t_i and b_i and X_{i+1,i} = 2 between
     b_i and t_{i+1}, with d = spec.diagonal: the diagonal is (2, 0, ...,
     0, -2) and the off-diagonal (d_1, 2, d_2, 2, ..., d_m).  The shuffle is
@@ -654,54 +643,6 @@ def symbol_spectrum(c: float) -> tuple[tuple[float, float], tuple[tuple[float, f
     w_lo, w_hi = (1.0 - c) ** 2, (1.0 + c) ** 2
     h_lo, h_hi = 2.0 * abs(1.0 - c), 2.0 * (1.0 + c)
     return (w_lo, w_hi), ((-h_hi, -h_lo), (h_lo, h_hi))
-
-
-@dataclass(frozen=True)
-class DisorderReport:
-    """Spectra and symmetry diagnostics of one disorder draw."""
-
-    eigenvalues: np.ndarray
-    near_zero: np.ndarray  # the four eigenvalues nearest zero, ascending
-    central_magnitude: float
-    symmetry_defect: float
-    surrounding_edge: float
-    modified_eigenvalues: np.ndarray
-    modified_min_abs: float
-    modified_symmetry_defect: float
-
-
-def disorder_experiment(spec: ModelSpec) -> DisorderReport:
-    """Spectra of H_omega and its boundary modification for one seed.
-
-    H_omega keeps the +- symmetry (its eigenvalues are +-sv(A_omega - B),
-    computed to high relative accuracy, so the exponentially small
-    central pair is meaningful); the boundary modification breaks the
-    symmetry and purges the central pair.  A lone small eigenvalue can
-    survive for draws whose near-kernel vector localizes away from the
-    modified corners, but never a symmetric pair of them.  The modified
-    spectrum comes from the O(m) tridiagonal of ktilde_bands, as in
-    gap_scan; the dense eigvalsh of H_omega only measures the symmetry
-    defect.
-    """
-    if spec.disorder is None:
-        raise ValueError("disorder_experiment needs a disorder law")
-    evals = hc_spectrum(spec)
-    order = np.argsort(np.abs(evals), kind="stable")
-    near = np.sort(evals[order[:4]])
-    abs_sorted = np.sort(np.abs(evals))
-    dense = np.linalg.eigvalsh(build_Hc(spec))
-    defect = float(np.max(np.abs(dense + dense[::-1])))
-    wt = tridiag_eigvalsh(*ktilde_bands(spec))
-    return DisorderReport(
-        eigenvalues=evals,
-        near_zero=near,
-        central_magnitude=float(abs_sorted[1]),
-        symmetry_defect=defect,
-        surrounding_edge=float(abs_sorted[2]),
-        modified_eigenvalues=wt,
-        modified_min_abs=float(np.min(np.abs(wt))),
-        modified_symmetry_defect=float(np.max(np.abs(wt + wt[::-1]))),
-    )
 
 
 def gap_scan(M_list, delta: float, m: int, seed: int) -> tuple[list, list, list, list]:

@@ -16,18 +16,6 @@ from . import bounds, linalg
 from .errors import NABViolated, NotDefinite, RankDeficient
 
 
-class StokesMatrix(bounds.BlockSaddle):
-    """H = [[A, B], [B^T, 0]]: a BlockSaddle whose C block is zero.
-
-    The spectrum, interval and gap functions here take any BlockSaddle,
-    refuse one with C != 0, and read the factorizations it keeps.
-    """
-
-    def __init__(self, A: np.ndarray, B: np.ndarray):
-        k = np.atleast_2d(B).shape[1]
-        super().__init__(A, B, np.zeros((k, k)))
-
-
 @dataclass(frozen=True)
 class PencilSpectrum:
     """Eigenvalues of H split into pencil branches.

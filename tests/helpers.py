@@ -1,10 +1,20 @@
-"""Shared random-instance generators and call counters for the test suite."""
+"""Shared random-instance generators and call counters for the test suite.
+
+It also holds the test-side references: code that no gapcert command runs
+and that tests compare the library against (the functional calculus of
+AC, the PSD square root, the dense boundary-modified K_tilde and the
+Stokes saddle with C = 0).
+"""
+
+from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 import numpy as np
 
-from gapcert import linalg
+from gapcert import bounds, linalg, model
+from gapcert.errors import DimensionMismatch
 
 
 def rand_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
@@ -72,3 +82,57 @@ def count_factorizations(monkeypatch) -> Counter:
         wrapped = linalg._Kernels(counted("svd", kernels.dlasq1), counted("eigvalsh", kernels.dsterf))
         monkeypatch.setattr(linalg, "_kernels", lambda: wrapped)
     return counts
+
+
+def func_calc_AC(A: np.ndarray, C: np.ndarray, f0: float, f1) -> np.ndarray:
+    """Evaluate f(AC) = f0 I + A C^(1/2) f1(C^(1/2) A C^(1/2)) C^(1/2).
+
+    Meaningful for functions with f(x) = f0 + x f1(x); the inner argument
+    is symmetric PSD, so f1 only ever sees the nonnegative eigenvalues.
+    """
+    A, C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
+    if A.shape != C.shape:
+        raise DimensionMismatch(f"A and C must share a shape, got {A.shape} and {C.shape}")
+    linalg.sym_eig(A, "A")  # the symmetric PSD check; only C's eigenpairs are used
+    wc, VC = linalg.sym_eig(C, "C")
+    R = (VC * np.sqrt(np.clip(wc, 0.0, None))) @ VC.T
+    X = R @ A @ R  # symmetric up to rounding of order eps ||A|| ||C||, not of ||X||
+    w, V = np.linalg.eigh((X + X.T) / 2.0)
+    w = np.clip(w, 0.0, None)
+    vals = np.asarray([float(f1(x)) for x in w])
+    F = (V * vals) @ V.T
+    return f0 * np.eye(A.shape[0]) + A @ R @ F @ R
+
+
+def psd_sqrt(M: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a positive semidefinite matrix.
+
+    Eigenvalues that `sym_eig` accepts as rounding below zero are clipped
+    to zero.
+    """
+    w, V = linalg.sym_eig(M)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
+def build_Ktilde(spec: model.ModelSpec | Sequence[model.ModelSpec]) -> np.ndarray:
+    """Boundary-modified K_tilde: K with +2 at the first and -2 at the last diagonal entry.
+
+    Back in the H picture that is build_Htilde's rank-two change.  Stacks
+    as build_Hc.
+    """
+    Kt = model.build_Kc(spec)
+    Kt[..., 0, 0] += 2.0
+    Kt[..., -1, -1] -= 2.0
+    return Kt
+
+
+class StokesMatrix(bounds.BlockSaddle):
+    """H = [[A, B], [B^T, 0]]: a BlockSaddle whose C block is zero.
+
+    The spectrum, interval and gap functions in gapcert.stokes take any
+    BlockSaddle, refuse one with C != 0, and read the factorizations it keeps.
+    """
+
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        k = np.atleast_2d(B).shape[1]
+        super().__init__(A, B, np.zeros((k, k)))

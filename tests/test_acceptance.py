@@ -19,9 +19,17 @@ from gapcert.bounds import BlockSaddle
 from gapcert.errors import B22Singular, DimensionMismatch, UnboundedRelativeBound
 from gapcert.linalg import bidiag_svd_hra
 from gapcert.model import DisorderSpec, ModelSpec
-from gapcert.stokes import StokesMatrix
 
-from helpers import full_rank_tall, rand_pd, rand_psd, violations
+from helpers import (
+    StokesMatrix,
+    build_Ktilde,
+    full_rank_tall,
+    func_calc_AC,
+    psd_sqrt,
+    rand_pd,
+    rand_psd,
+    violations,
+)
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -257,7 +265,7 @@ def test_ac09_boundary_modification():
     worst_sq = worst_sym = worst_closed = 0.0
     avoids = True
     for m in (2, 3, 5, 10, 25, 50):
-        Kt0 = model.build_Ktilde(ModelSpec(m, 0.0))
+        Kt0 = build_Ktilde(ModelSpec(m, 0.0))
         worst_sq = max(worst_sq, linalg.op_norm(Kt0 @ Kt0 - 4.0 * np.eye(2 * m)))
         for c in (0.0, 0.5, 1.0, 1.5, 2.0):
             spec = ModelSpec(m, c)
@@ -286,11 +294,11 @@ def test_ac10_functional_calculus():
         A = rand_psd(rng, n) / n
         G = rng.standard_normal((n, n))
         C = (G @ G.T) / n + 0.05 * np.eye(n)
-        R = linalg.psd_sqrt(C)
+        R = psd_sqrt(C)
         w, V = np.linalg.eigh(R @ A @ R)
         w = np.clip(w, 0.0, None)
         for t in (0.1, 1.0, 10.0):
-            E = bounds.func_calc_AC(
+            E = func_calc_AC(
                 A, C, 1.0, lambda x, t=t: float(np.expm1(-t * x) / x) if x > 0.0 else -t
             )
             oracle = np.linalg.solve(R, (V * np.exp(-t * w)) @ V.T @ R)
@@ -305,22 +313,23 @@ def test_ac11_disorder_panel():
     decay_ok = sym_ok = pair_ok = True
     worst_ratio = 0.0
     for seed in range(10):
-        reps = {}
+        central = {}
         for m in (20, 100):
-            spec = ModelSpec(m, 0.0, DisorderSpec(-3.0, 3.0, seed))
-            rep = model.disorder_experiment(spec)
-            reps[m] = rep
-            scale = float(np.max(np.abs(rep.eigenvalues)))
-            sym_ok = sym_ok and rep.symmetry_defect <= 1e-10 * max(1.0, scale)
+            # the spectra `model scan` prints for the mean 0 and half width 3,
+            # which draw DisorderSpec(-3.0, 3.0, seed)
+            _, variants, _, evals = model.gap_scan([0.0], 3.0, m, seed)
+            variants, evals = np.asarray(variants), np.asarray(evals)
+            h, ht = evals[variants == "H"], evals[variants == "Htilde"]
+            dense = np.linalg.eigvalsh(model.build_Hc(ModelSpec(m, 0.0, DisorderSpec(-3.0, 3.0, seed))))
+            scale = float(np.max(np.abs(h)))
+            sym_ok = sym_ok and float(np.max(np.abs(dense + dense[::-1]))) <= 1e-10 * max(1.0, scale)
+            abs_sorted = np.sort(np.abs(h))
+            central[m] = float(abs_sorted[1])
             # "no central pair" = fewer than two modified eigenvalues
             # below half the surrounding edge
-            below = int(
-                np.count_nonzero(
-                    np.abs(rep.modified_eigenvalues) < 0.5 * rep.surrounding_edge
-                )
-            )
+            below = int(np.count_nonzero(np.abs(ht) < 0.5 * float(abs_sorted[2])))
             pair_ok = pair_ok and below <= 1
-        ratio = reps[100].central_magnitude / reps[20].central_magnitude
+        ratio = central[100] / central[20]
         worst_ratio = max(worst_ratio, ratio)
         decay_ok = decay_ok and ratio <= 1e-3
     ok = decay_ok and sym_ok and pair_ok

@@ -1,5 +1,6 @@
 """Gap certificates, inverse-norm bounds, and counterexample fixtures."""
 
+import functools
 import re
 
 import numpy as np
@@ -20,7 +21,7 @@ from gapcert.errors import (
     UnboundedRelativeBound,
 )
 
-from helpers import rand_pd, rand_psd, violations
+from helpers import func_calc_AC, psd_sqrt, rand_pd, rand_psd, violations
 
 
 def test_block_saddle_validation():
@@ -75,7 +76,7 @@ def test_B_full_rank_is_decided_at_the_larger_dimension():
             "dim N(A) = 0 differs from dim N(C) = 1",
         ),
         (
-            lambda: bounds.func_calc_AC(np.eye(2), np.eye(3), 1.0, lambda x: 1.0),
+            lambda: func_calc_AC(np.eye(2), np.eye(3), 1.0, lambda x: 1.0),
             DimensionMismatch,
             "A and C must share a shape, got (2, 2) and (3, 3)",
         ),
@@ -102,6 +103,44 @@ def test_certificates_scale_covariant(t):
         got = np.array(cert(BlockSaddle(t * A, t * B, t * C)).interval) / t
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (cert.__name__, got, ref)
 
+
+@functools.cache
+def _metamorphic_saddles() -> tuple:
+    # 300 seeded saddles, n from 2 to 8, every third with C scaled by 0.01
+    rng = np.random.default_rng(29)
+    saddles = []
+    for i in range(300):
+        n = int(rng.integers(2, 9))
+        A, C = rand_pd(rng, n), rand_pd(rng, n) * (0.01 if i % 3 == 2 else 1.0)
+        saddles.append((A, rng.standard_normal((n, n)), C))
+    return tuple(saddles)
+
+
+@pytest.mark.parametrize("k", [-300, -20, 20, 300])
+def test_certificates_scale_exactly_by_powers_of_two(k):
+    # no oracle: 2^k H has the spectrum 2^k sigma(H), and scaling by 2^k is
+    # exact in floating point, so every end must scale bit for bit
+    t = 2.0**k
+    for A, B, C in _metamorphic_saddles():
+        for cert in (
+            bounds.diag_gap,
+            bounds.stretch_certificate,
+            bounds.hbinv_certificate,
+            bounds.zero_dichotomy_certificate,
+            bounds.winklmeier_certificate,
+        ):
+            lo, hi = cert(BlockSaddle(A, B, C)).interval
+            got = cert(BlockSaddle(t * A, t * B, t * C)).interval
+            assert got == (t * lo, t * hi), (cert.__name__, A.shape[0], got, lo, hi)
+
+
+@pytest.mark.parametrize("cert", [bounds.diag_gap, bounds.zero_dichotomy_certificate], ids=lambda f: f.__name__)
+def test_mirror_negates_the_certified_gap(cert):
+    # no oracle: the mirror (A, B, C) -> (C, B^T, A) maps sigma(H) to
+    # -sigma(H), so (l, r) must map to (-r, -l), here bit for bit
+    for A, B, C in _metamorphic_saddles():
+        lo, hi = cert(BlockSaddle(A, B, C)).interval
+        assert cert(BlockSaddle(C, B.T, A)).interval == (-hi, -lo), (A.shape[0], lo, hi)
 
 @pytest.mark.parametrize("t", [1e-160, 1e-80, 1e80, 1e155])
 def test_kirsch_saddle_scale_covariant(t):
@@ -380,7 +419,7 @@ def test_func_calc_matches_expm():
         pairs.append((np.outer(q1, q1), np.outer(q2, q2)))
     for A, C in pairs:
         for t in (0.1, 1.0, 10.0):
-            got = bounds.func_calc_AC(
+            got = func_calc_AC(
                 A, C, 1.0, lambda x, t=t: np.expm1(-t * x) / x if x > 0 else -t
             )
             want = scipy.linalg.expm(-t * A @ C)
@@ -392,7 +431,7 @@ def test_func_calc_exp_norm_bound():
     for _ in range(100):
         n = int(rng.integers(1, 6))
         A, C = rand_psd(rng, n), rand_psd(rng, n)
-        R = linalg.psd_sqrt(C)
+        R = psd_sqrt(C)
         for t in (0.1, 1.0, 10.0):
             E = scipy.linalg.expm(-t * A @ C)
             cap = 1.0 + t * linalg.op_norm(A @ R) * linalg.op_norm(R)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from gapcert import matio
-from gapcert.bounds import BlockSaddle, func_calc_AC
+from gapcert.bounds import BlockSaddle
 from gapcert.errors import DimensionMismatch, NotPSD, ParseError
 
-from helpers import block_text, count_factorizations, matrix_text
+from helpers import block_text, count_factorizations, func_calc_AC, matrix_text
 
 
 def _parse_B(matrix: str, m: int = 1, k: int = 1) -> np.ndarray:

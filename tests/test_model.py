@@ -12,7 +12,7 @@ from gapcert.errors import OutOfRegime, RootCountMismatch
 from gapcert.linalg import bidiag_svd_hra, tridiag_eigvalsh
 from gapcert.model import DisorderSpec, ModelSpec
 
-from helpers import count_factorizations
+from helpers import build_Ktilde, count_factorizations
 
 # smallest eigenvalue of W_{1/2}, frozen from a high-precision Sturm count
 GAP_HALF = {
@@ -478,13 +478,13 @@ def test_secular_cli_lambda_matches_mpmath(capsys, m, cs):
 
 
 def test_modified_k0_squares_to_four():
-    Kt = model.build_Ktilde(ModelSpec(4, 0.0))
+    Kt = build_Ktilde(ModelSpec(4, 0.0))
     assert np.array_equal(Kt @ Kt, 4.0 * np.eye(8))
 
 
 def test_modified_unitary_consistency():
     spec = ModelSpec(5, 1.3)
-    Kt, Ht = model.build_Ktilde(spec), model.build_Htilde(spec)
+    Kt, Ht = build_Ktilde(spec), model.build_Htilde(spec)
     U = involution(spec.m)
     assert np.allclose(U @ Ht @ U, Kt, atol=1e-13)
 
@@ -545,12 +545,12 @@ def test_disorder_drawn_once_per_grid_point(monkeypatch):
     assert calls == [2, 3]
     calls.clear()
     spec = ModelSpec(6, 0.0, DisorderSpec(-1.0, 2.0, 5))
-    rep = model.disorder_experiment(spec)
+    one = np.asarray(model.gap_scan([0.5], 1.5, 6, seed=5)[3])
     assert calls == [5]
-    # the experiment's spectra are the ones the builders give for its spec
+    # one grid point's spectra are the ones the builders give for its spec
     monkeypatch.undo()
-    assert np.array_equal(rep.eigenvalues, model.hc_spectrum(spec))
-    assert np.array_equal(rep.modified_eigenvalues, tridiag_eigvalsh(*model.ktilde_bands(spec)))
+    assert np.array_equal(one[:12], model.hc_spectrum(spec))
+    assert np.array_equal(one[12:], tridiag_eigvalsh(*model.ktilde_bands(spec)))
     scan = ModelSpec(6, 0.0, DisorderSpec(0.2, 0.8, 2))
     rows = list(zip(means, variants, evals))
     assert [v for M, variant, v in rows if M == 0.5 and variant == "H"] == model.hc_spectrum(scan).tolist()
@@ -569,7 +569,7 @@ def _bits(x) -> bytes:
 def test_stacked_builders_equal_scalar_ones(m):
     # a stack over masses holds, bit for bit, each mass's own matrix
     specs = [ModelSpec(m, c) for c in STACK_MASSES]
-    for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, model.build_Ktilde, model.build_Wc,
+    for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, build_Ktilde, model.build_Wc,
                model.build_Tc, model.hc_spectrum, model.modified_spectrum_closed_form):
         stack = fn(specs)
         assert stack.shape[0] == len(specs), fn.__name__
@@ -692,7 +692,7 @@ def test_ktilde_bands_are_the_shuffled_matrix():
         a, e = model.ktilde_bands(spec)
         P = _shuffle(spec.m)
         T = np.diag(a) + np.diag(e, 1) + np.diag(e, -1)
-        assert np.array_equal(model.build_Ktilde(spec)[np.ix_(P, P)], T), spec
+        assert np.array_equal(build_Ktilde(spec)[np.ix_(P, P)], T), spec
 
 
 def test_k0_square_defect_from_bands(monkeypatch):
@@ -702,7 +702,7 @@ def test_k0_square_defect_from_bands(monkeypatch):
     bands = model.ktilde_bands
     monkeypatch.setattr(model, "ktilde_bands", lambda spec: bands(ModelSpec(spec.m, 0.7)))
     for m in (2, 3, 9):
-        Kt = model.build_Ktilde(ModelSpec(m, 0.7))
+        Kt = build_Ktilde(ModelSpec(m, 0.7))
         dense = float(np.max(np.abs(Kt @ Kt - 4.0 * np.eye(2 * m))))
         assert model.k0_square_defect(m) == pytest.approx(dense, rel=1e-15)
 
@@ -870,19 +870,25 @@ def test_draw_disorder_determinism():
 
 
 def test_disorder_experiment():
+    # the spectra `model scan` prints for the mean 0 and half width 3, which
+    # draw DisorderSpec(-3.0, 3.0, seed)
     spec = ModelSpec(30, 0.0, DisorderSpec(-3.0, 3.0, 7))
-    rep = model.disorder_experiment(spec)
-    assert rep.eigenvalues.size == 60
-    assert np.array_equal(rep.eigenvalues, -rep.eigenvalues[::-1])
-    assert rep.near_zero.size == 4
-    scale = float(np.max(np.abs(rep.eigenvalues)))
-    assert rep.symmetry_defect <= 1e-10 * scale
-    assert 0.0 < rep.central_magnitude < rep.surrounding_edge
+    _, variants, _, evals = model.gap_scan([0.0], 3.0, 30, 7)
+    variants, evals = np.asarray(variants), np.asarray(evals)
+    h, ht = evals[variants == "H"], evals[variants == "Htilde"]
+    assert h.size == 60
+    assert np.array_equal(h, -h[::-1])
+    near_zero = np.sort(h[np.argsort(np.abs(h), kind="stable")[:4]])
+    assert near_zero.size == 4
+    scale = float(np.max(np.abs(h)))
+    dense = np.linalg.eigvalsh(model.build_Hc(spec))
+    assert float(np.max(np.abs(dense + dense[::-1]))) <= 1e-10 * scale
+    abs_sorted = np.sort(np.abs(h))
+    central_magnitude, surrounding_edge = abs_sorted[1], abs_sorted[2]
+    assert 0.0 < central_magnitude < surrounding_edge
     # the boundary terms break the symmetry and lift the central pair
-    assert rep.modified_min_abs > 100.0 * rep.central_magnitude
-    assert rep.modified_symmetry_defect > 1e-6
-    with pytest.raises(ValueError):
-        model.disorder_experiment(ModelSpec(30))
+    assert float(np.min(np.abs(ht))) > 100.0 * central_magnitude
+    assert float(np.max(np.abs(ht + ht[::-1]))) > 1e-6
 
 
 def test_gap_scan():
@@ -949,7 +955,7 @@ def test_spectra_leave_the_drawn_diagonal_unchanged():
     model.hc_spectrum([spec, spec])
     tridiag_eigvalsh(*bands)
     model.gap_scan([0.5], 1.5, 40, 4)
-    model.disorder_experiment(spec)
+    np.linalg.eigvalsh(model.build_Hc(spec))
     assert np.array_equal(spec.diagonal, saved)
     assert all(np.array_equal(b, s) for b, s in zip(bands, saved_bands))
 

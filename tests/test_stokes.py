@@ -6,9 +6,8 @@ import pytest
 from gapcert import stokes
 from gapcert.bounds import BlockSaddle
 from gapcert.errors import DimensionMismatch, NABViolated, NotDefinite, NotPSD, RankDeficient
-from gapcert.stokes import StokesMatrix
 
-from helpers import full_rank_tall, rand_pd, rand_psd, violations
+from helpers import StokesMatrix, full_rank_tall, rand_pd, rand_psd, violations
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0  # positive eigenvalue of [[1,1],[1,0]]
 
