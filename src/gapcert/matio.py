@@ -36,7 +36,7 @@ _OUTSIDE_DOUBLE = _OUTSIDE_DOUBLE.ravel()
 def _logical_lines(text: str) -> list[str]:
     out = []
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = (raw[: raw.index("#")] if "#" in raw else raw).strip()
         if line:
             out.append(line)
     return out
@@ -46,8 +46,9 @@ def _parse_body(body: list[str], cols: int) -> np.ndarray:
     """The rows of a matrix body as one (rows, cols) array, each entry as ``float()`` gives it.
 
     Where numpy's long double is x87 extended precision,
-    ``_read_long_double`` reads the rows; elsewhere one ``np.loadtxt``
-    call reads the whole body.  Rows that either leaves unread are then
+    ``_read_long_double`` reads the whole body in one ``fromstring``
+    call; elsewhere one ``np.loadtxt`` call does.  The rows either leaves
+    unread (every row, where the call cannot vouch for the body) are then
     read one by one with ``np.loadtxt``, so an error names the first row
     with the wrong number of entries or a non-numeric one.
     """
@@ -73,42 +74,53 @@ def _parse_body(body: list[str], cols: int) -> np.ndarray:
     return data
 
 
-def _read_long_double(body: list[str], cols: int) -> tuple[np.ndarray, list[int]]:
-    """The body read through numpy's long-double ``fromstring``, and the rows left unread.
+def _read_long_double(body: list[str], cols: int) -> tuple[np.ndarray, range | list[int]]:
+    """The body read by one long-double ``fromstring`` call, and the rows left unread.
+
+    The rows are joined with an ``inf`` sentinel after each, and the call
+    is kept only when it gives rows x (cols + 1) numbers, the last column
+    all +inf and no other number with x87 exponent 0x7FFF (an inf or a
+    NaN).  That proves each row held ``cols`` numbers, each read as it
+    would be alone.  The lines are stripped, so each sentinel is a token
+    of its own and reads as one +inf.  No number outside the last column
+    is an inf, so the sentinels fill that column, in order: the j-th ends
+    row j and follows j x cols other numbers, so rows 1 to j hold j x cols
+    numbers for every j, and each row holds ``cols``.  Text holding an ``x`` or ``X``, which
+    hex numbers need and ``float()`` refuses, is not read.  Numpy 1.x
+    warns, where numpy 2 raises, on text it does not read to the end;
+    ``parse_block_saddle`` makes that warning an error, and where it stays
+    a warning the short read lacks the last sentinel.  A call that is not
+    kept leaves every row unread.
 
     The C library's ``strtold`` (glibc's on Linux) rounds each token
     correctly to a 64-bit significand.  Rounding that to double gives the
     double nearest the token unless the long double lies exactly on a
     midpoint between two doubles (its low 11 significand bits are 0x400)
     or outside the normal doubles below 2**1023.  Rows holding such a
-    value, the NaN that ``nan(...)`` reads as among them, are left unread.
-    So are rows ``fromstring`` does not read to the end as ``cols``
-    numbers, and rows holding an ``x`` or ``X``, which hex numbers need
-    and ``float()`` refuses.  Numpy 1.x warns, where numpy 2 raises, on a
-    row it does not read to the end; ``parse_block_saddle`` makes that
-    warning an error.
+    value are left unread too.
     """
-    rows, redo = [], []
-    for i, line in enumerate(body):
-        row = None
-        if not ("x" in line or "X" in line):
-            try:
-                row = np.fromstring(line, np.longdouble, sep=" ")
-            except (ValueError, DeprecationWarning):
-                pass
-        if row is None or row.size != cols:
-            redo.append(i)
-            row = np.zeros(cols, np.longdouble)
-        rows.append(row)
-    wide = np.array(rows)
-    # x87 layout: the significand in 16-bit words 0-3, sign and biased exponent in word 4
-    words = wide.view(np.uint16).reshape(*wide.shape, -1)
-    inexact = _OUTSIDE_DOUBLE[words[..., 4]] | ((words[..., 0] & 0x7FF) == 0x400)
-    if inexact.any():
-        flagged = np.flatnonzero(inexact.any(axis=1))
-        wide[flagged] = 0  # they are re-read; zeros keep the cast below from overflowing
-        redo = sorted(redo + flagged.tolist())
-    return wide.astype(np.float64), redo
+    rows = len(body)
+    text = " inf\n".join([*body, ""])
+    flat = None
+    if not ("x" in text or "X" in text):
+        try:
+            flat = np.fromstring(text, np.longdouble, sep=" ")
+        except (ValueError, DeprecationWarning):
+            pass
+    del text  # as large as the body's lines; free it before the checks allocate
+    if flat is not None and flat.size == rows * (cols + 1):
+        wide = flat.reshape(rows, cols + 1)
+        # x87 layout: the significand in 16-bit words 0-3, sign and biased exponent in word 4
+        words = wide.view(np.uint16).reshape(rows, cols + 1, -1)[:, :cols]
+        outside = _OUTSIDE_DOUBLE.take(words[..., 4])  # take gathers twice as fast as indexing here
+        misplaced = (wide[:, cols] != np.inf).any()
+        nonfinite = outside.any() and ((words[..., 4][outside] & 0x7FFF) == 0x7FFF).any()
+        if not (misplaced or nonfinite):
+            data = wide[:, :cols]
+            redo = np.flatnonzero((outside | ((words[..., 0] & 0x7FF) == 0x400)).any(axis=1)).tolist()
+            data[redo] = 0  # they are re-read; zeros keep the cast below from overflowing
+            return data.astype(np.float64), redo
+    return np.empty((rows, cols)), range(rows)
 
 
 def _section_at(lines: list[str], pos: int) -> tuple[list[str], int]:

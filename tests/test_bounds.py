@@ -104,6 +104,15 @@ def test_certificates_scale_covariant(t):
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0), (cert.__name__, got, ref)
 
 
+METAMORPHIC_CERTIFICATES = (
+    bounds.diag_gap,
+    bounds.stretch_certificate,
+    bounds.hbinv_certificate,
+    bounds.zero_dichotomy_certificate,
+    bounds.winklmeier_certificate,
+)
+
+
 @functools.cache
 def _metamorphic_saddles() -> tuple:
     # 300 seeded saddles, n from 2 to 8, every third with C scaled by 0.01
@@ -122,13 +131,7 @@ def test_certificates_scale_exactly_by_powers_of_two(k):
     # exact in floating point, so every end must scale bit for bit
     t = 2.0**k
     for A, B, C in _metamorphic_saddles():
-        for cert in (
-            bounds.diag_gap,
-            bounds.stretch_certificate,
-            bounds.hbinv_certificate,
-            bounds.zero_dichotomy_certificate,
-            bounds.winklmeier_certificate,
-        ):
+        for cert in METAMORPHIC_CERTIFICATES:
             lo, hi = cert(BlockSaddle(A, B, C)).interval
             got = cert(BlockSaddle(t * A, t * B, t * C)).interval
             assert got == (t * lo, t * hi), (cert.__name__, A.shape[0], got, lo, hi)
@@ -141,6 +144,43 @@ def test_mirror_negates_the_certified_gap(cert):
     for A, B, C in _metamorphic_saddles():
         lo, hi = cert(BlockSaddle(A, B, C)).interval
         assert cert(BlockSaddle(C, B.T, A)).interval == (-hi, -lo), (A.shape[0], lo, hi)
+
+
+def _assert_ends_within_rounding(got, want, S: BlockSaddle, name: str):
+    # each end may move by n eps ||H||_2 for n = A's order, the backward error
+    # of the blocks' eigen- and singular value solves it is computed from
+    # (ROADMAP item 3); relative to hbinv's own radius that is kappa(B) eps
+    allowance = S.m * linalg.EPS * np.linalg.norm(S.assemble(), 2)
+    assert np.max(np.abs(np.subtract(got, want))) <= allowance, (name, S.m, got, want)
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [bounds.stretch_certificate, bounds.hbinv_certificate, bounds.winklmeier_certificate],
+    ids=lambda f: f.__name__,
+)
+def test_mirror_negates_the_certified_gap_within_rounding(cert):
+    # the mirror of the test above, where SVDs of B and B^T round apart
+    # (within 0.18 n eps ||H||_2 with numpy 2.4's OpenBLAS)
+    for A, B, C in _metamorphic_saddles():
+        S = BlockSaddle(A, B, C)
+        lo, hi = cert(S).interval
+        _assert_ends_within_rounding(cert(BlockSaddle(C, B.T, A)).interval, (-hi, -lo), S, cert.__name__)
+
+
+@pytest.mark.parametrize("cert", METAMORPHIC_CERTIFICATES, ids=lambda f: f.__name__)
+def test_permutation_keeps_the_certified_gap_within_rounding(cert):
+    # no oracle: permuting A's rows and columns with B's rows, and C's with
+    # B's columns, is an orthogonal similarity of H, so sigma(H) stays; the
+    # ends move by rounding (within 0.5 n eps ||H||_2 with numpy 2.4's
+    # OpenBLAS; hbinv's by up to 2.2e-11 of its radius at kappa(B) = 9.5e4)
+    rng = np.random.default_rng(31)
+    for A, B, C in _metamorphic_saddles():
+        p, q = rng.permutation(A.shape[0]), rng.permutation(C.shape[0])
+        S = BlockSaddle(A, B, C)
+        got = cert(BlockSaddle(A[p][:, p], B[p][:, q], C[q][:, q])).interval
+        _assert_ends_within_rounding(got, cert(S).interval, S, cert.__name__)
+
 
 @pytest.mark.parametrize("t", [1e-160, 1e-80, 1e80, 1e155])
 def test_kirsch_saddle_scale_covariant(t):

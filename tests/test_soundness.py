@@ -6,8 +6,9 @@ matrix the certificate was computed from, and lists those strictly inside
 the certified open interval; a sound certificate leaves none.  A case that
 fails today carries pytest.mark.xfail(strict=True, reason="ROADMAP item N"):
 it reports as xfailed until a change mends it, and then fails until that
-change takes the mark off.  Every case uses diagonal blocks, so every LAPACK
-build returns the same certificate.
+change takes the mark off.  Cases with diagonal blocks get the same
+certificate from every LAPACK build; a case whose outcome turns on how a
+build rounds carries a mark that is not strict, and its reason says so.
 """
 
 import mpmath as mp
@@ -19,6 +20,13 @@ from gapcert.bounds import BlockSaddle, GapCertificate
 
 EPS = np.finfo(float).eps
 ITEM_11 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11")
+ITEM_3 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+ITEM_3_BY_BUILD = pytest.mark.xfail(
+    strict=False,
+    raises=AssertionError,
+    reason="ROADMAP item 3: the end lies within about kappa(B) eps of sigma_min(B), on a side that depends on how"
+    " the LAPACK build rounds",
+)
 
 
 def inside(cert: GapCertificate, S: BlockSaddle) -> list:
@@ -64,3 +72,44 @@ def test_definite_diagonal_saddle_every_gap_certificate():
         c = cert(S)
         assert c.interval[0] < 0.0 < c.interval[1], cert.__name__
         assert inside(c, S) == [], cert.__name__
+
+
+@ITEM_3
+def test_kirsch_end_on_an_eigenvalue():
+    # A's and B's smallest entries meet in one 2x2 block, so H has the
+    # eigenvalues +-sqrt(0.5^2 + 2^2) = +-sqrt(4.25), and kirsch's end, the
+    # double hypot(0.5, 2), lies 1.8e-17 beyond them
+    A, B = np.diag([0.5, 1.0]), np.diag([2.0, 3.0])
+    S = BlockSaddle(A, B, A)
+    assert inside(bounds.kirsch_certificate(S), S) == []
+
+
+def _ill_conditioned_coupling(seed: int) -> BlockSaddle:
+    # A = C = 0 and B = Q1 diag(1, 0.5, 0.2, 1e-7) Q2^T, kappa(B) = 1e7, so
+    # sigma(H) = +-sigma(B) and hbinv's radius is the computed sigma_min(B)
+    rng = np.random.default_rng(seed)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+    B = Q1 @ np.diag([1.0, 0.5, 0.2, 1e-7]) @ Q2.T
+    return BlockSaddle(np.zeros((4, 4)), B, np.zeros((4, 4)))
+
+
+# Every seed, not only the 22 of 40 whose end lies beyond sigma_min(B) with
+# numpy 2.4's OpenBLAS on x86-64 (2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 15, 22,
+# 23, 25, 27, 28, 32, 34, 35, 36, 38, 39): the other 18 lie inside by the
+# same 1e-10 relative, so another build may move any of them across
+@pytest.mark.parametrize("seed", [pytest.param(s, marks=ITEM_3_BY_BUILD) for s in range(40)])
+def test_hbinv_on_ill_conditioned_coupling(seed):
+    S = _ill_conditioned_coupling(seed)
+    assert inside(bounds.hbinv_certificate(S), S) == []
+
+
+def test_hbinv_end_near_sigma_min_on_ill_conditioned_coupling():
+    # what holds on every build: the end misses sigma_min(B) by no more than
+    # a backward-stable SVD's error, n kappa(B) eps relative for n = 4
+    # (at most 1.2e-9, about 0.54 kappa(B) eps, with numpy 2.4's OpenBLAS)
+    for seed in range(40):
+        S = _ill_conditioned_coupling(seed)
+        end = bounds.hbinv_certificate(S).interval[1]
+        with mp.workdps(60):
+            sigma_min = min(mp.svd_r(mp.matrix(S.B.tolist()), compute_uv=False))
+            assert abs(end - sigma_min) <= 4 * 1e7 * EPS * sigma_min, seed

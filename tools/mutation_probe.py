@@ -85,6 +85,13 @@ MUTANTS = [
      "delta = 64.0 * EPS * gersh", "delta = 128.0 * EPS * gersh"),
     ("modified_spectrum_certified 64 eps G -> 32", "src/gapcert/model.py",
      "delta = 64.0 * EPS * gersh", "delta = 32.0 * EPS * gersh"),
+    # each check that keeps matio's one-call body read
+    ("matio sentinel column unchecked", "src/gapcert/matio.py",
+     "misplaced = (wide[:, cols] != np.inf).any()", "misplaced = False"),
+    ("matio data inf and NaN unchecked", "src/gapcert/matio.py",
+     "nonfinite = outside.any() and ((words[..., 4][outside] & 0x7FFF) == 0x7FFF).any()", "nonfinite = False"),
+    ("matio hex text read", "src/gapcert/matio.py",
+     'if not ("x" in text or "X" in text):', "if True:"),
 ]
 
 # (name, file, old text, new text, why no test can tell it from the original)
