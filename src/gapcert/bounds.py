@@ -10,8 +10,9 @@ is factorized once however many certificates it gets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,7 @@ class BlockSaddle:
         return _read_only([np.linalg.eigvalsh(self.assemble())])[0]
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(NamedTuple):
     """An open interval the spectrum of H avoids, and how it was obtained.
 
     claim is "excludes_all" when sigma(H) misses the whole open interval,
@@ -121,7 +121,7 @@ class GapCertificate:
     interval: tuple[float, float]
     claim: str
     inv_norm_bound: float | None
-    quantities: dict[str, float] = field(default_factory=dict)
+    quantities: dict[str, float]
 
 
 def diag_gap(H: BlockSaddle) -> GapCertificate:

@@ -29,7 +29,6 @@ import functools
 import json
 import sys
 from collections.abc import Sequence
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -152,8 +151,8 @@ def _pair_verdict(pair: stokes.IntervalPair, S: bounds.BlockSaddle) -> str:
 def _entry(result: bounds.GapCertificate | stokes.IntervalPair, S: bounds.BlockSaddle) -> dict:
     """The printed entry of one result: a pair's fields or a certificate, and its verdict against S."""
     if isinstance(result, stokes.IntervalPair):
-        return dict(asdict(result), verdict=_pair_verdict(result, S))
-    return {"certificate": asdict(result), "verdict": _verdict(result, S.eigvals_H)}
+        return dict(result._asdict(), verdict=_pair_verdict(result, S))
+    return {"certificate": result._asdict(), "verdict": _verdict(result, S.eigvals_H)}
 
 
 def _certify(certs: dict, method: str, S: bounds.BlockSaddle) -> dict:

@@ -64,8 +64,7 @@ class ModelSpec:
         return d
 
 
-@dataclass(frozen=True)
-class SecularRoots:
+class SecularRoots(NamedTuple):
     """Roots of the secular equation in the spectral parameter alpha.
 
     trig_roots lie in (0, pi) and map to eigenvalues of W_c through
@@ -80,8 +79,7 @@ class SecularRoots:
     alpha_hat: float | None
 
 
-@dataclass(frozen=True)
-class SpuriousEstimate:
+class SpuriousEstimate(NamedTuple):
     """Asymptotics of the spurious central pair for 0 < c < 1."""
 
     alpha0: float

@@ -8,7 +8,7 @@ overdamped: a negative and a positive branch, each with minimax structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from . import bounds, linalg
 from .errors import NABViolated, NotDefinite, RankDeficient
 
 
-@dataclass(frozen=True)
-class PencilSpectrum:
+class PencilSpectrum(NamedTuple):
     """Eigenvalues of H split into pencil branches.
 
     lambda_minus holds the strict negatives ascending, zero-padded to
@@ -37,8 +36,7 @@ class PencilSpectrum:
         return self.lambda_minus[self.lambda_minus < 0.0]
 
 
-@dataclass(frozen=True)
-class IntervalPair:
+class IntervalPair(NamedTuple):
     """Branch enclosures [i_minus, i_plus] produced by one estimate."""
 
     i_minus: tuple[float, float]

@@ -516,7 +516,7 @@ def test_verdict_margin_is_scale_relative(tmp_path, capsys, monkeypatch):
     t = 1e-12
     D = t * np.diag([1.0, 2.0])
     f = write_block(tmp_path / "s.txt", D, t * np.eye(2), D)
-    wide = bounds.GapCertificate("diag_gap", (-3.0 * t, 3.0 * t), "excludes_all", None)
+    wide = bounds.GapCertificate("diag_gap", (-3.0 * t, 3.0 * t), "excludes_all", None, {})
     monkeypatch.setattr(bounds, "diag_gap", lambda S: wide)
     code, out, _ = run(capsys, "bounds", f, "--method", "diag")
     assert code == 0 and json.loads(out)["verdict"] == "UNSOUND"
@@ -535,7 +535,7 @@ def test_verdict_margin_is_1e10_of_the_largest_eigenvalue(tmp_path, capsys, monk
     # a certificate ending f margins past sqrt(2) holds that eigenvalue inside only for f > 1
     path = write_block(tmp_path / "s.txt", [[1.0]], [[1.0]], [[1.0]])
     lam = np.sqrt(2.0)
-    cert = bounds.GapCertificate("diag_gap", (0.0, lam + f * 1e-10 * lam), "excludes_all", None)
+    cert = bounds.GapCertificate("diag_gap", (0.0, lam + f * 1e-10 * lam), "excludes_all", None, {})
     monkeypatch.setattr(bounds, "diag_gap", lambda S: cert)
     code, out, _ = run(capsys, "bounds", path, "--method", "diag")
     assert code == 0 and json.loads(out)["verdict"] == want

@@ -1,10 +1,12 @@
 """Branch intervals and pencil classification."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from gapcert import stokes
-from gapcert.bounds import BlockSaddle
+from gapcert import linalg, stokes
+from gapcert.bounds import BlockSaddle, GapCertificate
 from gapcert.errors import DimensionMismatch, NABViolated, NotDefinite, NotPSD, RankDeficient
 
 from helpers import StokesMatrix, full_rank_tall, rand_pd, rand_psd, violations
@@ -258,3 +260,68 @@ def test_pencil_spectrum_joint_scaling():
             ps = stokes.pencil_spectrum(StokesMatrix(t * A, t * B))
             assert ps.lambda_plus == pytest.approx(t * base.lambda_plus, rel=1e-12)
             assert ps.lambda_minus == pytest.approx(t * base.lambda_minus, rel=1e-12)
+
+
+METAMORPHIC_ESTIMATES = (
+    stokes.minimal_intervals,
+    stokes.ruwa_intervals,
+    stokes.axel_intervals,
+    stokes.new_gap_estimate,
+)
+
+
+@functools.cache
+def _metamorphic_saddles(gap: bool) -> tuple:
+    # (A, B) pairs: for the branch enclosures, 100 with A definite and B of
+    # full column rank k <= m, m from 1 to 6; for the gap estimate, 50 with A
+    # semidefinite and B of full row rank m <= k, m from 1 to 5
+    rng = np.random.default_rng(44 if gap else 43)
+    saddles = []
+    for _ in range(50 if gap else 100):
+        m = int(rng.integers(1, 6 if gap else 7))
+        if gap:
+            k = int(rng.integers(m, m + 3))
+            saddles.append((rand_psd(rng, m), full_rank_tall(rng, k, m).T))
+        else:
+            k = int(rng.integers(1, m + 1))
+            saddles.append((rand_pd(rng, m), full_rank_tall(rng, m, k)))
+    return tuple(saddles)
+
+
+def _ends(result) -> tuple:
+    # a gap certificate's interval, or both enclosures of a pair
+    return result.interval if isinstance(result, GapCertificate) else (*result.i_minus, *result.i_plus)
+
+
+@pytest.mark.parametrize("k", [-300, -20, 20, 300])
+@pytest.mark.parametrize("estimate", METAMORPHIC_ESTIMATES, ids=lambda f: f.__name__)
+def test_estimates_scale_exactly_by_powers_of_two(estimate, k):
+    # no oracle: 2^k H has the spectrum 2^k sigma(H), and scaling by 2^k is
+    # exact in floating point, so every end must scale bit for bit
+    t = 2.0**k
+    for A, B in _metamorphic_saddles(estimate is stokes.new_gap_estimate):
+        want = tuple(t * end for end in _ends(estimate(StokesMatrix(A, B))))
+        assert _ends(estimate(StokesMatrix(t * A, t * B))) == want, (B.shape, want)
+
+
+@pytest.mark.parametrize("estimate", METAMORPHIC_ESTIMATES, ids=lambda f: f.__name__)
+def test_permutation_keeps_the_estimates_within_rounding(estimate):
+    # no oracle: permuting A's rows and columns with B's rows, and B's
+    # columns, is an orthogonal similarity of H, so sigma(H) stays.  Each end
+    # is read from eigenvalues of H or A and singular values of B, each
+    # within (m + k) eps ||H||_2 of exact in each of the two runs, so it may
+    # move by twice that; axel's Schur weights sigma(B^T A^{-1} B) go through
+    # A^{-1}, which multiplies that error by kappa(A).  Within 0.57 (minimal),
+    # 0.48 (ruwa), 0.06 (axel; 0.94 without kappa(A)) and 0.08 (new) of the
+    # bound over 3 permutations of each saddle with numpy 2.4's OpenBLAS
+    rng = np.random.default_rng(45)
+    for A, B in _metamorphic_saddles(estimate is stokes.new_gap_estimate):
+        S = StokesMatrix(A, B)
+        allowance = 2 * (S.m + S.k) * linalg.EPS * np.linalg.norm(S.assemble(), 2)
+        if estimate is stokes.axel_intervals:
+            allowance *= S.eig_A.values[-1] / S.eig_A.values[0]
+        want = _ends(estimate(S))
+        for _ in range(3):
+            p, q = rng.permutation(S.m), rng.permutation(S.k)
+            got = _ends(estimate(StokesMatrix(A[p][:, p], B[p][:, q])))
+            assert np.max(np.abs(np.subtract(got, want))) <= allowance, (B.shape, got, want)

@@ -1,12 +1,13 @@
 """Mutation probe: does tier-1 fail when a decision constant or formula changes?
 
 Each mutant is one text replacement in one source file.  For every
-mutant the probe copies src/, tests/, pyproject.toml and README.md (whose
-examples a test runs) to a temporary directory (pytest's `pythonpath =
-["src"]` would otherwise import the unmutated package), applies the
-replacement there, whose old text must occur exactly once, and runs
-`python -m pytest -x -q -p no:cacheprovider`.  A failing run kills the
-mutant; a passing one lets it survive.  The unmutated copy runs first and
+mutant the probe copies src/, tests/, tools/ (a test loads this file),
+pyproject.toml and README.md (whose examples a test runs) to a temporary
+directory (pytest's `pythonpath = ["src"]` would otherwise import the
+unmutated package), applies the replacement there, whose old text must
+occur exactly once, and runs `python -m pytest -x -q -p no:cacheprovider`.
+A failing run kills the mutant and names the first failing test whole;
+a passing one lets it survive.  The unmutated copy runs first and
 must pass.  Each run costs up to one tier-1 run.
 
     python tools/mutation_probe.py          # run every mutant; exit 1 if one survives
@@ -26,7 +27,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPY = ("src", "tests", "pyproject.toml", "README.md")
+COPY = ("src", "tests", "tools", "pyproject.toml", "README.md")
 TIMEOUT_S = 900
 
 # (name, file, old text, new text)
@@ -112,6 +113,14 @@ def check_all() -> list[str]:
     return problems
 
 
+def node_id(line: str) -> str:
+    """The test a pytest `FAILED`/`ERROR` summary line names: the text between the status word and ` - `.
+
+    A parametrized id may hold spaces, so the line is not split on whitespace.
+    """
+    return line.split(" ", 1)[1].split(" - ", 1)[0]
+
+
 def run(mutant: tuple[str, str, str] | None) -> tuple[str, float]:
     """Tier-1 on a copy with mutant (file, old, new) applied, or none; check_all vouches for old.
 
@@ -141,7 +150,7 @@ def run(mutant: tuple[str, str, str] | None) -> tuple[str, float]:
         seconds = time.perf_counter() - t0
         if proc.returncode == 0:
             return "", seconds
-        failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+        failed = [node_id(line) for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
         return (failed[0] if failed else f"exit {proc.returncode}"), seconds
 
 
