@@ -17,15 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import (
-    B22Singular,
-    BNotInvertible,
-    BothSemidefiniteSingular,
-    DimensionMismatch,
-    NegativeDiscriminant,
-    NotDefinite,
-    UnboundedRelativeBound,
-)
+from .errors import DimensionMismatch, NegativeDiscriminant, NotDefinite, RankDeficient
 
 
 def _read_only(arrays):
@@ -103,8 +95,11 @@ class BlockSaddle:
 
     @cached_property
     def eigvals_H(self) -> np.ndarray:
-        """Eigenvalues of the assembled H, ascending."""
-        return _read_only([np.linalg.eigvalsh(self.assemble())])[0]
+        """Eigenvalues of the assembled H, ascending; OverflowError if one leaves the float range."""
+        w = np.linalg.eigvalsh(self.assemble())
+        if not np.isfinite(w).all():
+            raise OverflowError("the spectrum of H overflows the float range")
+        return _read_only([w])[0]
 
 
 class GapCertificate(NamedTuple):
@@ -186,9 +181,9 @@ def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     Works for semidefinite A, C; H is nonsingular whenever B is.
     """
     if H.m != H.k:
-        raise BNotInvertible(f"B must be square, got {H.m}x{H.k}")
+        raise RankDeficient(f"B must be square, got {H.m}x{H.k}")
     if not H.B_full_rank:
-        raise UnboundedRelativeBound("B is singular; relative bounds are infinite")
+        raise RankDeficient("B is singular; relative bounds are infinite")
     U, s, Vh = H.svd_B
     alpha = linalg.relative_size(H.A, U, s)
     gamma = linalg.relative_size(H.C, Vh.T, s)
@@ -231,7 +226,7 @@ def zero_dichotomy_certificate(H: BlockSaddle) -> GapCertificate:
         B22 = NA.T @ H.B @ NC
         s22 = np.linalg.svd(B22, compute_uv=False)
         if not linalg.definite(s22):
-            raise B22Singular("restriction of B between N(A) and N(C) is singular")
+            raise RankDeficient("restriction of B between N(A) and N(C) is singular")
         inv_parts.append(1.0 / float(s22[-1]))
         B12 = RA.T @ H.B @ NC
         B21 = NA.T @ H.B @ RC
@@ -240,13 +235,14 @@ def zero_dichotomy_certificate(H: BlockSaddle) -> GapCertificate:
         if B21.size:
             coupling = max(coupling, linalg.op_norm(np.linalg.solve(B22, B21).T))
     if not inv_parts:
-        raise NotDefinite("both blocks are zero-dimensional")
+        raise DimensionMismatch("both blocks are zero-dimensional")
     eps = 1.0 / ((1.0 + coupling) ** 2 * max(inv_parts))
     return GapCertificate(
         method="zero_dichotomy",
         interval=(-eps, eps),
         claim="excludes_all",
-        inv_norm_bound=1.0 / eps,
+        # eps underflows to 0 where max(inv_parts) overflows; the printed inf is then refused
+        inv_norm_bound=1.0 / eps if eps else np.inf,
         quantities={"epsilon": eps, "null_dim": float(p), "coupling": coupling},
     )
 
@@ -262,7 +258,7 @@ def kirsch_certificate(H: BlockSaddle) -> GapCertificate:
         raise ValueError("kirsch form needs square blocks with C = A")
     wa, wb = H.eig_A.values, linalg.sym_eig(H.B, "B").values
     if not (linalg.definite(wa) or linalg.definite(wb)):
-        raise BothSemidefiniteSingular("both A and B have smallest eigenvalue zero")
+        raise NotDefinite("both A and B have smallest eigenvalue zero")
     amin = max(float(wa[0]), 0.0)
     bmin = max(float(wb[0]), 0.0)
     radius = float(np.hypot(amin, bmin))
@@ -281,9 +277,9 @@ def winklmeier_bound(H: BlockSaddle) -> float:
     Value: -(||A|| + ||C||)/2 + sqrt((||A|| - ||C||)^2/4 + 1/||B^{-1}||^2).
     """
     if H.m != H.k:
-        raise BNotInvertible(f"B must be square, got {H.m}x{H.k}")
+        raise RankDeficient(f"B must be square, got {H.m}x{H.k}")
     if not H.B_full_rank:
-        raise BNotInvertible("B is singular to working precision")
+        raise RankDeficient("B is singular to working precision")
     _, s, _ = H.svd_B
     na = float(np.max(np.abs(H.eig_A.values)))
     nc = float(np.max(np.abs(H.eig_C.values)))
@@ -340,10 +336,6 @@ class Quartic4x4Params:
         A = np.array([[self.a_plus, a], [np.conj(a), self.a_minus]])
         B = np.array([[bp, b], [self.sign * np.conj(b), bm]])
         return A, B
-
-    def assemble(self) -> np.ndarray:
-        A, B = self.blocks()
-        return np.block([[A, B], [B.conj().T, -A]])
 
 
 def eig_4x4(p: Quartic4x4Params) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 Exit codes: 0 on success, 2 on input/parse errors, 3 when a theorem
 hypothesis fails (the message names it) or a result overflows the
-float range.  `model verify` additionally exits 1 when an invariant
-check fails.  All output is deterministic at
-a fixed BLAS thread count: identical arguments then produce
-byte-identical bytes.  A different thread count can change the
-trailing digits of dense eigenvalues.  `model modified` computes none:
-it prints a closed form proved by a Sturm count, so its output does not
-depend on the thread count.
+float range: a certificate that would print a NaN or an infinity is
+refused like a failed hypothesis (skipped under `--method all`).
+`model verify` additionally exits 1 when an invariant check fails.
+All output is deterministic at a fixed BLAS thread count: identical
+arguments then produce byte-identical bytes.  A different thread count
+can change the trailing digits of dense eigenvalues.  `model modified`
+computes none: it prints a closed form proved by a Sturm count, so its
+output does not depend on the thread count.
 
 `main` builds its parser once per process, on the first call, and
 reuses it for every later call, so in-process callers (a test suite, a
@@ -155,15 +156,29 @@ def _entry(result: bounds.GapCertificate | stokes.IntervalPair, S: bounds.BlockS
     return {"certificate": result._asdict(), "verdict": _verdict(result, S.eigvals_H)}
 
 
+def _finite(result: bounds.GapCertificate | stokes.IntervalPair) -> None:
+    # a NaN or an infinity, which JSON cannot print, is refused as a failed hypothesis is
+    try:
+        json.dumps(result, allow_nan=False)
+    except ValueError:
+        raise ValueError("the result leaves the float range: a number in it is not finite") from None
+
+
 def _certify(certs: dict, method: str, S: bounds.BlockSaddle) -> dict:
-    """name -> entry for one method, whose failure raises, or for "all", failures skipped."""
-    if method != "all":
-        return {method: _entry(certs[method](S), S)}
+    """name -> entry for one method, whose failure raises, or for "all", failures skipped.
+
+    A result that is not finite, or that overflows on the way, fails
+    too, so the floating-point warnings met on the way are not shown.
+    """
     entries = {}
-    for name, cert in certs.items():
+    for name in certs if method == "all" else [method]:
         try:
-            result = cert(S)
-        except ValueError as exc:
+            with np.errstate(all="ignore"):
+                result = certs[name](S)
+            _finite(result)
+        except (ValueError, OverflowError) as exc:
+            if method != "all":
+                raise
             entries[name] = {"skipped": str(exc)}
         else:
             entries[name] = _entry(result, S)
@@ -463,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RootCountMismatch, np.linalg.LinAlgError, OverflowError) as exc:
+    except (ValueError, RootCountMismatch, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

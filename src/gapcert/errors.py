@@ -1,8 +1,13 @@
-"""Exception types raised across the library.
+"""Exception types raised across the library: one class per kind of failure.
 
-Every precondition failure derives from ValueError so callers (and the
-command line driver) can distinguish bad inputs from genuine numerical
-breakdown, which is signalled by RootCountMismatch.
+Every precondition failure is a ValueError, so callers can tell bad
+inputs from numerical breakdown (RootCountMismatch).  A class means one
+thing whichever certificate finds the failure; where two failures share
+a class, the message tells them apart.  The command line exits 2 on
+ParseError (or an unreadable file) and 3, with the message as its one
+`error:` line, on any other class and on OverflowError: a block or the
+spectrum of H past the float range.  A result that would print a NaN or
+an infinity is refused there like a failed hypothesis.
 """
 
 
@@ -15,7 +20,7 @@ class NotFinite(ValueError):
 
 
 class NotSymmetric(ValueError):
-    """Matrix exceeds the symmetry tolerance."""
+    """Square matrix exceeds the symmetry tolerance."""
 
 
 class NotPSD(ValueError):
@@ -23,27 +28,15 @@ class NotPSD(ValueError):
 
 
 class NotDefinite(ValueError):
-    """Block that must be positive definite is singular or indefinite."""
+    """A block that must be positive definite is singular or indefinite."""
 
 
-class BNotInvertible(ValueError):
-    """Off-diagonal block is not square, or is singular, so it cannot be inverted."""
-
-
-class UnboundedRelativeBound(ValueError):
-    """Relative bound is infinite because the coupling block is rank deficient."""
+class RankDeficient(ValueError):
+    """A block lacks the rank the certificate needs (B, or B between the null spaces of A and C)."""
 
 
 class DimensionMismatch(ValueError):
-    """Block shapes, or the null-space dimensions of the two diagonal blocks, do not match."""
-
-
-class B22Singular(ValueError):
-    """Restriction of B between the null spaces of A and C is singular."""
-
-
-class BothSemidefiniteSingular(ValueError):
-    """Both blocks have smallest eigenvalue zero, so the radius vanishes."""
+    """Block shapes, or the null-space dimensions of the two diagonal blocks, do not fit."""
 
 
 class NegativeDiscriminant(ValueError):
@@ -52,10 +45,6 @@ class NegativeDiscriminant(ValueError):
 
 class NABViolated(ValueError):
     """Null spaces of A and B^T intersect nontrivially."""
-
-
-class RankDeficient(ValueError):
-    """Block lacks the full rank the estimate requires."""
 
 
 class OutOfRegime(ValueError):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotFinite, NotPSD, NotSymmetric
+from .errors import DimensionMismatch, NotFinite, NotPSD, NotSymmetric
 
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
@@ -33,7 +33,7 @@ def require_finite(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def require_square(shape: tuple[int, ...], name: str = "matrix") -> None:
     if len(shape) != 2 or shape[0] != shape[1]:
-        raise NotSymmetric(f"{name} must be square, got shape {shape}")
+        raise DimensionMismatch(f"{name} must be square, got shape {shape}")
 
 
 def sym_eig(M: np.ndarray, name: str = "matrix") -> EigenDecomposition:
@@ -42,36 +42,35 @@ def sym_eig(M: np.ndarray, name: str = "matrix") -> EigenDecomposition:
     The package's one symmetry and semidefiniteness check.  Both
     tolerances are relative to the matrix's own scale: a symmetry defect
     above 1e-12 of it fails, and so does an eigenvalue below -1e-10 of it.
-    A matrix of +0.0 entries gets (0, I) without LAPACK.
+    A matrix of +0.0 entries gets (0, I) without LAPACK.  OverflowError
+    where twice the scale, and so M +- M^T, would leave the float range.
     """
     M = require_finite(M, name)
     require_square(M.shape, name)
     if not M.any() and not np.signbit(M).any():
         # what LAPACK returns for a +0.0 matrix; a -0.0 entry gives -0.0 eigenvalues
         return EigenDecomposition(np.zeros(M.shape[0]), np.eye(M.shape[0]))
-    scale = op_norm_bound(M)
-    defect = np.max(np.abs(M - M.T)) if M.size else 0.0
+    # a Python float: past the float range it is inf, without a warning
+    scale = float(np.max(np.abs(M))) * M.shape[0]
+    if 2.0 * scale == np.inf:
+        raise OverflowError(f"{name} overflows the float range")
+    defect = np.max(np.abs(M - M.T))
     if defect > 1e-12 * scale:
         raise NotSymmetric(f"{name} is not symmetric (defect {defect:.3e})")
     w, V = np.linalg.eigh((M + M.T) / 2.0)
-    if w.size and w[0] < -1e-10 * scale:
+    if w[0] < -1e-10 * scale:
         raise NotPSD(f"{name} has eigenvalue {w[0]:.3e}, not positive semidefinite")
     return EigenDecomposition(w, V)
 
 
 def op_norm(M: np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
-    M = require_finite(M)
+    """Spectral norm (largest singular value); inf for a matrix that holds a NaN or an infinity."""
+    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
+    if not np.isfinite(M).all():
+        return np.inf
     return float(np.linalg.norm(M, 2))
-
-
-def op_norm_bound(M: np.ndarray) -> float:
-    # cheap upper proxy used only to scale tolerances
-    if M.size == 0:
-        return 0.0
-    return float(np.max(np.abs(M)) * max(M.shape))
 
 
 def negligible(x: np.ndarray, tol_rank: float | None = None) -> np.ndarray:

@@ -427,17 +427,15 @@ def secular_solve(spec: ModelSpec | Sequence[ModelSpec]) -> SecularRoots | list[
     return solved[0] if single else solved
 
 
-def secular_eigenvalues(spec: ModelSpec, sr: SecularRoots | None = None) -> np.ndarray:
+def secular_eigenvalues(spec: ModelSpec, sr: SecularRoots) -> np.ndarray:
     """sigma(W_c) from the secular roots sr = secular_solve(spec), ascending."""
-    if sr is None:
-        sr = secular_solve(spec)
     lams = lambda_of_alpha(spec.c, sr.trig_roots)
     if sr.hyp_root is not None:
         lams = np.append(lams, np.exp(sr.hyp_root[1]))
     return np.sort(lams)
 
 
-def secular_hc_spectrum(spec: ModelSpec, sr: SecularRoots | None = None) -> np.ndarray:
+def secular_hc_spectrum(spec: ModelSpec, sr: SecularRoots) -> np.ndarray:
     """All 2m eigenvalues of H_c (c > 0), ascending, from sr = secular_solve(spec).
 
     sigma(H_c) = +-2 sqrt(sigma(W_c)): each trigonometric root gives
@@ -445,8 +443,6 @@ def secular_hc_spectrum(spec: ModelSpec, sr: SecularRoots | None = None) -> np.n
     pair 2 exp(log lambda1 / 2), which stays accurate where lambda1 itself
     would underflow.  No matrix is formed: O(m) memory, no factorization.
     """
-    if sr is None:
-        sr = secular_solve(spec)
     s = 2.0 * np.sqrt(lambda_of_alpha(spec.c, sr.trig_roots))
     if sr.hyp_root is not None:
         s = np.append(s, 2.0 * np.exp(sr.hyp_root[1] / 2.0))
@@ -482,7 +478,7 @@ def stable_gap_check(m: int, c: float) -> dict:
     (hc_spectrum).  stable_gap_pattern counts and judges it.
     """
     spec = ModelSpec(m, c)
-    evals = hc_spectrum(spec) if c == 0.0 else secular_hc_spectrum(spec)
+    evals = hc_spectrum(spec) if c == 0.0 else secular_hc_spectrum(spec, secular_solve(spec))
     return stable_gap_pattern(m, c, evals)
 
 

@@ -2,8 +2,8 @@
 
 It also holds the test-side references: code that no gapcert command runs
 and that tests compare the library against (the functional calculus of
-AC, the PSD square root, the dense boundary-modified K_tilde and the
-Stokes saddle with C = 0).
+AC, the PSD square root, the dense 4x4 of the quartic closed form, the
+dense boundary-modified K_tilde and the Stokes saddle with C = 0).
 """
 
 from __future__ import annotations
@@ -112,6 +112,12 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """
     w, V = linalg.sym_eig(M)
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
+def assemble_quartic(p: bounds.Quartic4x4Params) -> np.ndarray:
+    """The Hermitian 4x4 [[A, B], [B^H, -A]] whose spectrum eig_4x4 gives in closed form."""
+    A, B = p.blocks()
+    return np.block([[A, B], [B.conj().T, -A]])
 
 
 def build_Ktilde(spec: model.ModelSpec | Sequence[model.ModelSpec]) -> np.ndarray:

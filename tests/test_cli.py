@@ -15,7 +15,7 @@ import gapcert
 from gapcert import bounds, cli, model, stokes
 from gapcert.cli import main
 
-from helpers import block_text, count_factorizations, rand_pd
+from helpers import block_text, count_factorizations, rand_pd, rand_psd
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -468,6 +468,35 @@ def test_counterexample_suite_is_the_json_record(capsys):
     assert code == 0 and payload == bounds.counterexample_suite()
 
 
+# saddles at the ends of the float range, by name; "@name" in an argv below is the path of its file
+I2 = np.eye(2)
+FLOAT_RANGE_SADDLES = {
+    "tiny": ([[1e-310]], [[1e-310]], [[1e-310]]),
+    "subnormal": ([[1e-320]], [[1e-320]], [[1e-320]]),
+    "subnormal-stokes": ([[1e-320]], [[1.0]], "zero"),
+    "huge": (1.5e308 * I2, 1.5e308 * I2, 1.5e308 * I2),
+    "huge-stokes": (1.5e308 * I2, 1.5e308 * I2, "zero"),
+    # blocks each inside the float range, but sigma(B) = 2e308 puts the spectrum of H outside it
+    "huge-B": (I2, 1e308 * np.ones((2, 2)), I2),
+    "huge-B-stokes": (I2, 1e308 * np.ones((2, 2)), "zero"),
+    "huge-B-1x1": ([[1.0]], [[1e308]], [[1.0]]),
+}
+NOT_FINITE = "the result leaves the float range: a number in it is not finite"
+
+
+def float_range_argv(tmp_path, argv):
+    return [write_block(tmp_path / f"{a[1:]}.txt", *FLOAT_RANGE_SADDLES[a[1:]]) if a[0] == "@" else a for a in argv]
+
+
+def strict_json(out: str):
+    """The payload of out, failing on the NaN and +-Infinity that Python's json would accept."""
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} in the output")
+
+    return json.loads(out, parse_constant=refuse)
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [
@@ -478,14 +507,91 @@ def test_counterexample_suite_is_the_json_record(capsys):
         (["counterexamples", "--t-range", "0:inf:3"], 2),
         (["model", "modified", "-m", "3", "-c", "1e200", "--format", "json"], 3),
         (["model", "verify", "-m", "3", "-c", "1e200"], 3),
+        # a certificate whose result is not finite is refused
+        (["bounds", "@tiny", "--method", "zero-dichotomy"], 3),
+        (["bounds", "@subnormal", "--method", "diag"], 3),
+        (["bounds", "@subnormal", "--method", "stretch"], 3),
+        (["bounds", "@subnormal", "--method", "hbinv"], 3),
+        (["stokes", "@subnormal-stokes", "--method", "axel"], 3),
+        # a block, or the spectrum of H, past the float range stops the command
+        (["bounds", "@huge"], 3),
+        (["stokes", "@huge-stokes"], 3),
+        (["bounds", "@huge-B"], 3),
+        (["stokes", "@huge-B-stokes"], 3),
     ],
 )
-def test_overflow_and_nonfinite_input_exit_with_one_error_line(capsys, argv, want):
+def test_overflow_and_nonfinite_input_exit_with_one_error_line(tmp_path, capsys, argv, want):
     # overflow is a domain error (3); a non-finite range endpoint is an input error (2)
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *float_range_argv(tmp_path, argv))
     assert code == want and out == ""
     assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the blocks pass validation; the spectrum of H stops the command before any
+        # verdict or pencil classification
+        (["bounds", "@huge-B"], "the spectrum of H overflows the float range"),
+        (["bounds", "@huge-B-stokes"], "the spectrum of H overflows the float range"),
+        (["stokes", "@huge-B-stokes"], "the spectrum of H overflows the float range"),
+        (["bounds", "@huge"], "A overflows the float range"),
+        (["stokes", "@huge-stokes"], "A overflows the float range"),
+        (["bounds", "@subnormal", "--method", "diag"], NOT_FINITE),
+    ],
+)
+def test_float_range_errors_name_the_overflow(tmp_path, capsys, argv, message):
+    assert run(capsys, *float_range_argv(tmp_path, argv)) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (["bounds", "@tiny"], dict.fromkeys(["diag", "stretch", "hbinv", "zero-dichotomy", "kirsch"], NOT_FINITE)),
+        (["bounds", "@subnormal"], dict.fromkeys(["diag", "stretch", "hbinv", "zero-dichotomy", "kirsch"], NOT_FINITE)),
+        (["stokes", "@subnormal-stokes"], {"axel": NOT_FINITE}),
+        # a certificate's own block past the float range is refused with it
+        (["bounds", "@huge-B-1x1"], {"stretch": NOT_FINITE, "kirsch": "B overflows the float range"}),
+    ],
+)
+def test_results_not_finite_are_skipped_under_all(tmp_path, capsys, argv, skipped):
+    code, out, err = run(capsys, *float_range_argv(tmp_path, argv))
+    assert code == 0 and err == ""
+    payload = strict_json(out)
+    entries = payload["intervals"] if argv[0] == "stokes" else {e["method"]: e for e in payload["results"]}
+    assert {name: e["skipped"] for name, e in entries.items() if "skipped" in e} == skipped
+    assert all(e["verdict"] == "SOUND" for e in entries.values() if "verdict" in e)
+
+
+def _scaled_saddles():
+    # a definite, a semidefinite and a Stokes saddle, entries in [-1, 1], so that
+    # 2^1020 times an entry stays inside the float range
+    rng = np.random.default_rng(2024)
+    saddles = {
+        "definite": (rand_pd(rng, 3), rng.standard_normal((3, 2)), rand_pd(rng, 2)),
+        "semidefinite": (rand_psd(rng, 3, rank=2), rng.standard_normal((3, 3)), rand_psd(rng, 3, rank=2)),
+        "stokes": (rand_pd(rng, 3), rng.standard_normal((3, 2)), np.zeros((2, 2))),
+    }
+    return {name: [M / max(np.abs(X).max() for X in blocks) for M in blocks] for name, blocks in saddles.items()}
+
+
+@pytest.mark.parametrize("k", [-1070, -1040, -1000, 1000, 1020])
+@pytest.mark.parametrize("name", ["definite", "semidefinite", "stokes"])
+def test_every_method_across_the_float_range(tmp_path, capsys, name, k):
+    # every run prints strict JSON or stops with one error line, and warns of nothing
+    A, B, C = (np.ldexp(M, k) for M in _scaled_saddles()[name])
+    f = write_block(tmp_path / "s.txt", A, B, "zero" if name == "stokes" else C)
+    runs = [["bounds", *m] for m in ([], *(["--method", m] for m in cli.BOUND_CERTS))]
+    runs += [["stokes", *m] for m in ([], *(["--method", m] for m in cli.STOKES_CERTS))]
+    for argv in runs:
+        code, out, err = run(capsys, argv[0], f, *argv[1:])
+        if code == 0:
+            assert err == ""
+            strict_json(out)
+        else:
+            assert code == 3 and out == "", argv
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
 
 
 def test_counterexamples_kirsch_overflow_names_t(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gapcert import linalg
-from gapcert.errors import NotFinite, NotPSD, NotSymmetric
+from gapcert.errors import DimensionMismatch, NotFinite, NotPSD, NotSymmetric
 
 from helpers import count_factorizations, psd_sqrt, rand_psd
 
@@ -48,7 +48,7 @@ def test_sym_eig_cutoffs_are_sharp():
 
 
 def test_sym_eig_rejects_rectangular():
-    with pytest.raises(NotSymmetric, match=r"^matrix must be square, got shape \(2, 3\)$"):
+    with pytest.raises(DimensionMismatch, match=r"^matrix must be square, got shape \(2, 3\)$"):
         linalg.sym_eig(np.ones((2, 3)))
 
 
@@ -79,6 +79,8 @@ def test_op_norm_matches_svd():
     M = rng.standard_normal((4, 7))
     assert linalg.op_norm(M) == pytest.approx(np.linalg.svd(M, compute_uv=False)[0])
     assert linalg.op_norm(np.zeros((0, 3))) == 0.0
+    # an overflowed intermediate has no finite norm; NotFinite is kept for inputs
+    assert linalg.op_norm(np.array([[np.inf, 1.0]])) == linalg.op_norm(np.array([[np.nan]])) == np.inf
 
 
 def test_psd_sqrt_squares_back():

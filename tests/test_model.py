@@ -110,7 +110,8 @@ def test_critical_coupling_closed_form():
         k = np.arange(1, m + 1)
         closed = np.sort(4.0 * np.sin((2 * k - 1) * np.pi / (2.0 * (2 * m + 1))) ** 2)
         assert np.allclose(np.linalg.eigvalsh(model.build_Wc(ModelSpec(m, 1.0))), closed, atol=1e-12)
-        assert np.allclose(model.secular_eigenvalues(ModelSpec(m, 1.0)), closed, atol=1e-12)
+        spec = ModelSpec(m, 1.0)
+        assert np.allclose(model.secular_eigenvalues(spec, model.secular_solve(spec)), closed, atol=1e-12)
 
 
 def test_secular_counts_and_gram_match():
@@ -122,7 +123,7 @@ def test_secular_counts_and_gram_match():
             assert (sr.hyp_root is not None) == hyp_expected
             assert (sr.alpha_hat is not None) == (c > 1.0)
             assert sr.trig_roots.size == (m - 1 if hyp_expected else m)
-            sec = model.secular_eigenvalues(spec)
+            sec = model.secular_eigenvalues(spec, sr)
             dense = np.linalg.eigvalsh(model.build_Wc(spec))
             assert np.allclose(sec, dense, rtol=1e-9, atol=1e-13 * (1.0 + c) ** 2)
 
@@ -377,7 +378,7 @@ def _secular_gap_cases():
 def test_secular_stable_gap_spectrum_matches_hc_spectrum(m, cs):
     for c in cs:
         spec = ModelSpec(m, c)
-        sec, dense = model.secular_hc_spectrum(spec), model.hc_spectrum(spec)
+        sec, dense = model.secular_hc_spectrum(spec, model.secular_solve(spec)), model.hc_spectrum(spec)
         assert sec.size == dense.size == 2 * m
         assert np.all(np.abs(sec - dense) <= 1e-11 * np.abs(dense)), (m, c)
         got, want = model.stable_gap_pattern(m, c, sec), model.stable_gap_pattern(m, c, dense)
@@ -843,10 +844,11 @@ def test_finite_volume_spectra_versus_symbol():
     # only the spurious pair escapes the symbol bands in the subcritical phase
     c = 0.5
     (w_lo, w_hi), (_, (h_lo, h_hi)) = model.symbol_spectrum(c)
-    sec = model.secular_eigenvalues(ModelSpec(8, c))
+    spec = ModelSpec(8, c)
+    sec = model.secular_eigenvalues(spec, model.secular_solve(spec))
     assert sec[0] < w_lo
     assert np.all(sec[1:] >= w_lo - 1e-12) and np.all(sec <= w_hi + 1e-12)
-    a = np.sort(np.abs(model.hc_spectrum(ModelSpec(8, c))))
+    a = np.sort(np.abs(model.hc_spectrum(spec)))
     assert a[1] < h_lo
     assert np.all(a[2:] >= h_lo - 1e-12) and np.all(a <= h_hi + 1e-12)
 

@@ -86,6 +86,11 @@ MUTANTS = [
      "delta = 64.0 * EPS * gersh", "delta = 128.0 * EPS * gersh"),
     ("modified_spectrum_certified 64 eps G -> 32", "src/gapcert/model.py",
      "delta = 64.0 * EPS * gersh", "delta = 32.0 * EPS * gersh"),
+    # the two places of the float-range rule
+    ("printed result not checked for NaN or infinity", "src/gapcert/cli.py",
+     "json.dumps(result, allow_nan=False)", "json.dumps(result)"),
+    ("spectrum of H not checked for overflow", "src/gapcert/bounds.py",
+     "if not np.isfinite(w).all():", "if False:"),
     # each check that keeps matio's one-call body read
     ("matio sentinel column unchecked", "src/gapcert/matio.py",
      "misplaced = (wide[:, cols] != np.inf).any()", "misplaced = False"),
