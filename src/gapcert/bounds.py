@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NegativeDiscriminant, NotDefinite, RankDeficient
+from .errors import DimensionMismatch, FormMismatch, NegativeDiscriminant, NotDefinite, RankDeficient
 
 
 def _read_only(arrays):
@@ -27,10 +27,18 @@ def _read_only(arrays):
     return arrays
 
 
-def _min_eig(w: np.ndarray, name: str) -> float:
-    if not linalg.definite(w):
-        raise NotDefinite(f"{name} is not positive definite (min eigenvalue {w[0] if w.size else 0.0:.3e})")
-    return float(w[0])
+# hypothesis -> (test on a BlockSaddle, class, message) for BlockSaddle.require.  The quasi-definite
+# class is A_definite + C_definite and the Stokes form C_zero; each rank test reads the shape
+# before B_full_rank, so a B of the wrong shape is refused without its SVD.
+HYPOTHESES = {
+    "A_definite": (lambda S: linalg.definite(S.eig_A.values), NotDefinite, "A must be positive definite"),
+    "C_definite": (lambda S: linalg.definite(S.eig_C.values), NotDefinite, "C must be positive definite"),
+    "B_square_full_rank": (lambda S: S.m == S.k and S.B_full_rank, RankDeficient, "B must be square and of full rank"),
+    "B_full_column_rank": (lambda S: S.k <= S.m and S.B_full_rank, RankDeficient, "B must have full column rank"),
+    "BT_full_column_rank": (lambda S: S.m <= S.k and S.B_full_rank, RankDeficient, "B^T must have full column rank"),
+    "C_zero": (lambda S: not S.C.any(), FormMismatch, "C must be zero (the Stokes form)"),
+    "C_equals_A": (lambda S: S.C_equals_A, FormMismatch, "C must be bit-equal to A (the Kirsch form)"),
+}
 
 
 def check_shapes(A_shape: tuple[int, ...], B_shape: tuple[int, ...], C_shape: tuple[int, ...]) -> None:
@@ -83,6 +91,13 @@ class BlockSaddle:
     def assemble(self) -> np.ndarray:
         return np.block([[self.A, self.B], [self.B.T, -self.C]])
 
+    def require(self, *names: str) -> None:
+        """Refuse the saddle at the first of the named HYPOTHESES it fails, in the order given."""
+        for name in names:
+            test, error, message = HYPOTHESES[name]
+            if not test(self):
+                raise error(message)
+
     @cached_property
     def svd_B(self):
         """Thin SVD of B as (U, S, Vh), singular values descending."""
@@ -125,8 +140,8 @@ def diag_gap(H: BlockSaddle) -> GapCertificate:
     Requires both blocks positive definite; no eigenvalue of H lies in the
     open interval, and ||H^{-1}|| <= 1/min(min sigma(A), min sigma(C)).
     """
-    a = _min_eig(H.eig_A.values, "A")
-    c = _min_eig(H.eig_C.values, "C")
+    H.require("A_definite", "C_definite")
+    a, c = float(H.eig_A.values[0]), float(H.eig_C.values[0])
     return GapCertificate(
         method="diag_gap",
         interval=(-c, a),
@@ -147,9 +162,9 @@ def stretch_certificate(H: BlockSaddle) -> GapCertificate:
     The certified interval is lambda0 plus/minus the reciprocal of that
     bound; inv_norm_bound refers to the resolvent at lambda0.
     """
+    H.require("A_definite", "C_definite")
     (wa, VA), (wc, VC) = H.eig_A, H.eig_C
-    a = _min_eig(wa, "A")
-    c = _min_eig(wc, "C")
+    a, c = float(wa[0]), float(wc[0])
     lam0 = (a - c) / 2.0
     # Z = (A - lambda0 I)^{-1/2} B (C + lambda0 I)^{-1/2} in the eigenbases
     # of A and C, which leaves its singular values unchanged
@@ -180,10 +195,7 @@ def hbinv_certificate(H: BlockSaddle) -> GapCertificate:
     ||H^{-1}|| <= ||B^{-1}|| (1 + max(alpha, gamma) + alpha gamma).
     Works for semidefinite A, C; H is nonsingular whenever B is.
     """
-    if H.m != H.k:
-        raise RankDeficient(f"B must be square, got {H.m}x{H.k}")
-    if not H.B_full_rank:
-        raise RankDeficient("B is singular; relative bounds are infinite")
+    H.require("B_square_full_rank")
     U, s, Vh = H.svd_B
     alpha = linalg.relative_size(H.A, U, s)
     gamma = linalg.relative_size(H.C, Vh.T, s)
@@ -254,8 +266,7 @@ def kirsch_certificate(H: BlockSaddle) -> GapCertificate:
     semidefinite, one of them definite.  Reads the eigenvalues of A the
     saddle keeps; only B is factorized.
     """
-    if not H.C_equals_A:
-        raise ValueError("kirsch form needs square blocks with C = A")
+    H.require("C_equals_A")
     wa, wb = H.eig_A.values, linalg.sym_eig(H.B, "B").values
     if not (linalg.definite(wa) or linalg.definite(wb)):
         raise NotDefinite("both A and B have smallest eigenvalue zero")
@@ -276,10 +287,7 @@ def winklmeier_bound(H: BlockSaddle) -> float:
 
     Value: -(||A|| + ||C||)/2 + sqrt((||A|| - ||C||)^2/4 + 1/||B^{-1}||^2).
     """
-    if H.m != H.k:
-        raise RankDeficient(f"B must be square, got {H.m}x{H.k}")
-    if not H.B_full_rank:
-        raise RankDeficient("B is singular to working precision")
+    H.require("B_square_full_rank")
     _, s, _ = H.svd_B
     na = float(np.max(np.abs(H.eig_A.values)))
     nc = float(np.max(np.abs(H.eig_C.values)))

@@ -3,11 +3,13 @@
 Every precondition failure is a ValueError, so callers can tell bad
 inputs from numerical breakdown (RootCountMismatch).  A class means one
 thing whichever certificate finds the failure; where two failures share
-a class, the message tells them apart.  The command line exits 2 on
-ParseError (or an unreadable file) and 3, with the message as its one
-`error:` line, on any other class and on OverflowError: a block or the
-spectrum of H past the float range.  A result that would print a NaN or
-an infinity is refused there like a failed hypothesis.
+a class, the message tells them apart.  Each certificate hypothesis
+has one class and one message, both in `bounds.HYPOTHESES`.  The command
+line exits 2 on ParseError (or an unreadable file) and 3, with the
+message as its one `error:` line, on any other class and on
+OverflowError: a block or the spectrum of H past the float range.  A
+result that would print a NaN or an infinity is refused there like a
+failed hypothesis.
 """
 
 
@@ -37,6 +39,10 @@ class RankDeficient(ValueError):
 
 class DimensionMismatch(ValueError):
     """Block shapes, or the null-space dimensions of the two diagonal blocks, do not fit."""
+
+
+class FormMismatch(ValueError):
+    """The saddle lacks the form a method needs: C = 0 (Stokes) or C bit-equal to A (Kirsch)."""
 
 
 class NegativeDiscriminant(ValueError):

@@ -96,8 +96,8 @@ def relative_size(M: np.ndarray, U: np.ndarray, s: np.ndarray) -> float:
     V in place of U it is (B^T B)^{1/2}.  The value is taken from
     diag(s)^{-1/2} U^T M U diag(s)^{-1/2}: B B^T is never formed, so scaling
     M and B by one factor leaves it unchanged at any magnitude.  G must be
-    invertible (U square, s of full rank): `BlockSaddle.B_full_rank` owns
-    that rank decision, and every caller refuses the saddle through it.
+    invertible (U square, s of full rank): each caller requires the
+    hypothesis B_square_full_rank or BT_full_column_rank that owns it.
     """
     d = s**-0.5
     w = np.linalg.eigvalsh(d[:, None] * (U.T @ ((M + M.T) / 2.0) @ U) * d)

@@ -1,7 +1,7 @@
 """Eigenvalue branches and inclusion intervals for Stokes-type matrices.
 
-These are saddle matrices H = [[A, B], [B^T, 0]] with A symmetric PSD
-(the spectrum, interval and gap functions raise ValueError on C != 0).
+These are saddle matrices H = [[A, B], [B^T, 0]] with A symmetric PSD:
+each function here requires the hypothesis C_zero of `bounds.HYPOTHESES`.
 Under N(A) cap N(B^T) = {0} the pencil lambda^2 I - lambda A - B B^T is
 overdamped: a negative and a positive branch, each with minimax structure.
 """
@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds, linalg
-from .errors import NABViolated, NotDefinite, RankDeficient
+from .errors import NABViolated
 
 
 class PencilSpectrum(NamedTuple):
@@ -44,14 +44,9 @@ class IntervalPair(NamedTuple):
     source: str
 
 
-def _require_zero_C(S: bounds.BlockSaddle) -> None:
-    if np.any(S.C):
-        raise ValueError("stokes command needs the C block to be zero")
-
-
 def pencil_spectrum(S: bounds.BlockSaddle) -> PencilSpectrum:
     """Classify the spectrum of H into pencil branches."""
-    _require_zero_C(S)
+    S.require("C_zero")
     w = S.eigvals_H
     neg = w[~linalg.negligible(-w)]
     # with C = 0, the rank rule keeps m eigenvalues as positive exactly when N(A) cap N(B^T) = {0}
@@ -80,17 +75,6 @@ def minimal_intervals(S: bounds.BlockSaddle) -> IntervalPair:
     return IntervalPair(i_minus, i_plus, "minimal")
 
 
-def _outer_hypotheses(S: bounds.BlockSaddle) -> tuple[float, float]:
-    """Extreme eigenvalues of A, which must be positive definite, while B has full column rank."""
-    _require_zero_C(S)
-    w = S.eig_A.values
-    if not linalg.definite(w):
-        raise NotDefinite("A must be positive definite for this interval estimate")
-    if S.k > S.m or not S.B_full_rank:
-        raise RankDeficient(f"B must have full column rank {S.k}")
-    return float(w[0]), float(w[-1])
-
-
 def ruwa_intervals(S: bounds.BlockSaddle) -> IntervalPair:
     """Branch enclosures from extreme eigenvalues of A and singular values of B.
 
@@ -100,7 +84,8 @@ def ruwa_intervals(S: bounds.BlockSaddle) -> IntervalPair:
                (alpha_m - sqrt(alpha_m^2 + 4 beta_min^2))/2],
     I_plus  = [alpha_1, (alpha_m + sqrt(alpha_m^2 + 4 beta_max^2))/2].
     """
-    a1, am = _outer_hypotheses(S)
+    S.require("C_zero", "A_definite", "B_full_column_rank")
+    a1, am = float(S.eig_A.values[0]), float(S.eig_A.values[-1])
     _, s, _ = S.svd_B
     bmax, bmin = float(s[0]), float(s[-1])
     i_minus = (
@@ -120,8 +105,9 @@ def axel_intervals(S: bounds.BlockSaddle) -> IntervalPair:
                -sigma_1 alpha_1 / (sigma_1 + alpha_1)],
     I_plus  = [alpha_1, (alpha_m + sqrt(alpha_m^2 + 4 sigma_k alpha_m))/2].
     """
-    a1, am = _outer_hypotheses(S)
+    S.require("C_zero", "A_definite", "B_full_column_rank")
     w, V = S.eig_A
+    a1, am = float(w[0]), float(w[-1])
     W = (V.T @ S.B) / np.sqrt(w)[:, None]  # W^T W = B^T A^{-1} B
     sig = np.linalg.eigvalsh(W.T @ W)
     s1, sk = float(sig[0]), float(sig[-1])
@@ -140,9 +126,7 @@ def new_gap_estimate(S: bounds.BlockSaddle) -> bounds.GapCertificate:
     when k > m.  For square B this also bounds
     ||H^{-1}|| <= ||B^{-1}|| (alpha + sqrt(alpha^2 + 4))/2.
     """
-    _require_zero_C(S)
-    if S.m > S.k or not S.B_full_rank:
-        raise RankDeficient("B^T must have full column rank for the gap estimate")
+    S.require("C_zero", "BT_full_column_rank")
     U, s, _ = S.svd_B
     beta1 = float(s[-1])
     alpha = linalg.relative_size(S.A, U, s)

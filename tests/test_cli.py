@@ -14,6 +14,7 @@ import pytest
 import gapcert
 from gapcert import bounds, cli, model, stokes
 from gapcert.cli import main
+from gapcert.errors import FormMismatch, NotDefinite, RankDeficient
 
 from helpers import block_text, count_factorizations, rand_pd, rand_psd
 
@@ -235,19 +236,81 @@ def test_stokes_needs_zero_C_exit3(tmp_path, capsys):
 def test_stokes_nonzero_C_stderr(tmp_path, capsys, argv):
     f = write_block(tmp_path / "c.txt", np.eye(2), np.eye(2), 1e-300 * np.eye(2))
     code, out, err = run(capsys, "stokes", f, *argv)
-    assert (code, out, err) == (3, "", "error: stokes command needs the C block to be zero\n")
+    assert (code, out, err) == (3, "", "error: C must be zero (the Stokes form)\n")
 
 
 @pytest.mark.parametrize("shift", [-1.5e-12, 1.5e-12])
 def test_kirsch_refuses_C_near_A(tmp_path, capsys, shift):
     A = np.diag([1.0, 2.0])
     f = write_block(tmp_path / "k.txt", A, np.diag([1.0, 3.0]), A + shift * np.eye(2))
-    reason = "kirsch form needs square blocks with C = A"
+    reason = "C must be bit-equal to A (the Kirsch form)"
     code, out, err = run(capsys, "bounds", f, "--method", "kirsch")
     assert (code, out, err) == (3, "", f"error: {reason}\n")
     code, out, _ = run(capsys, "bounds", f, "--method", "all")
     by_method = {r["method"]: r for r in json.loads(out)["results"]}
     assert code == 0 and by_method["kirsch"] == {"method": "kirsch", "skipped": reason}
+
+
+# each hypothesis of bounds.HYPOTHESES: its one class and its one message
+HYPOTHESIS_REFUSALS = {
+    "A_definite": (NotDefinite, "A must be positive definite"),
+    "C_definite": (NotDefinite, "C must be positive definite"),
+    "B_square_full_rank": (RankDeficient, "B must be square and of full rank"),
+    "B_full_column_rank": (RankDeficient, "B must have full column rank"),
+    "BT_full_column_rank": (RankDeficient, "B^T must have full column rank"),
+    "C_zero": (FormMismatch, "C must be zero (the Stokes form)"),
+    "C_equals_A": (FormMismatch, "C must be bit-equal to A (the Kirsch form)"),
+}
+_I2, _E1 = np.eye(2), np.diag([1.0, 0.0])
+# (method, hypothesis, case, A, B, C) on a saddle that meets every hypothesis the method
+# checks before this one and fails this one; C None is the section `zero k`.  A singular
+# A keeps N(A) cap N(B^T) = {0}, which every stokes output needs.
+REFUSAL_CASES = [
+    ("diag", "A_definite", "singular", _E1, _I2, _I2),
+    ("diag", "C_definite", "singular", _I2, _I2, _E1),
+    ("stretch", "A_definite", "singular", _E1, _I2, _I2),
+    ("stretch", "C_definite", "zero", _I2, _I2, None),
+    ("hbinv", "B_square_full_rank", "tall", _I2, np.ones((2, 1)), [[1.0]]),
+    ("hbinv", "B_square_full_rank", "singular", _I2, np.ones((2, 2)), _I2),
+    ("winklmeier", "B_square_full_rank", "wide", [[1.0]], np.ones((1, 2)), _I2),
+    ("winklmeier", "B_square_full_rank", "singular", _I2, np.ones((2, 2)), _I2),
+    ("kirsch", "C_equals_A", "C=2A", _I2, _I2, 2.0 * _I2),
+    ("minimal", "C_zero", "C=I", _I2, _I2, _I2),
+    ("ruwa", "C_zero", "C=I", _I2, _I2, _I2),
+    ("ruwa", "A_definite", "singular", _E1, [[0.0], [1.0]], None),
+    ("ruwa", "B_full_column_rank", "wide", _I2, np.ones((2, 3)), None),
+    ("ruwa", "B_full_column_rank", "singular", _I2, np.ones((2, 2)), None),
+    ("axel", "C_zero", "C=I", _I2, _I2, _I2),
+    ("axel", "A_definite", "singular", _E1, [[0.0], [1.0]], None),
+    ("axel", "B_full_column_rank", "wide", _I2, np.ones((2, 3)), None),
+    ("axel", "B_full_column_rank", "singular", _I2, np.ones((2, 2)), None),
+    ("new", "C_zero", "C=I", _I2, _I2, _I2),
+    ("new", "BT_full_column_rank", "tall", _I2, np.ones((2, 1)), None),
+    ("new", "BT_full_column_rank", "singular", _I2, np.ones((2, 2)), None),
+]
+
+
+@pytest.mark.parametrize(
+    "method, hypothesis, A, B, C", [pytest.param(*c[:2], *c[3:], id="-".join(c[:3])) for c in REFUSAL_CASES]
+)
+def test_each_hypothesis_refused_with_its_class_and_message(tmp_path, capsys, method, hypothesis, A, B, C):
+    error, message = HYPOTHESIS_REFUSALS[hypothesis]
+    assert bounds.HYPOTHESES[hypothesis][1:] == (error, message)
+    command, certs = ("bounds", cli.BOUND_CERTS) if method in cli.BOUND_CERTS else ("stokes", cli.STOKES_CERTS)
+    k = np.shape(B)[1]
+    with pytest.raises(error) as refused:
+        certs[method](bounds.BlockSaddle(A, B, np.zeros((k, k)) if C is None else C))
+    assert type(refused.value) is error and str(refused.value) == message
+    f = write_block(tmp_path / "h.txt", A, B, "zero" if C is None else C)
+    assert run(capsys, command, f, "--method", method) == (3, "", f"error: {message}\n")
+    code, out, err = run(capsys, command, f, "--method", "all")
+    if command == "stokes" and hypothesis == "C_zero":
+        # the pencil spectrum that every stokes output prints needs C = 0 as well
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+    else:
+        payload = json.loads(out)
+        entries = {r["method"]: r for r in payload["results"]} if command == "bounds" else payload["intervals"]
+        assert code == 0 and entries[method]["skipped"] == message
 
 
 def test_model_secular_small_csv(capsys):
@@ -739,6 +802,14 @@ def test_each_saddle_factorized_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "bounds", kirsch_file, "--method", "all")
     assert code == 0 and all("skipped" not in r for r in json.loads(out)["results"])
     assert sum(counts.values()) <= 7, counts
+    counts.clear()
+    # a 6x4 B fails B_square_full_rank on its shape, before B_full_rank would take
+    # the SVD of B: the one svd is stretch's Z
+    rect = write_block(tmp_path / "r.txt", rand_pd(rng, n), rng.standard_normal((n, 4)), rand_pd(rng, 4))
+    code, out, _ = run(capsys, "bounds", rect, "--method", "all")
+    skipped = [r["method"] for r in json.loads(out)["results"] if "skipped" in r]
+    assert code == 0 and skipped == ["hbinv", "kirsch", "winklmeier"]
+    assert counts["svd"] == 1, counts
 
 
 def test_stokes_all_factorizes_the_zero_block_not_at_all(tmp_path, capsys, monkeypatch):
@@ -769,7 +840,7 @@ def test_kirsch_C_differing_in_last_token_exits_3(tmp_path, capsys):
     f = tmp_path / "k1.txt"
     f.write_text(text[: text.rindex(" ")] + " 2.0000000000000004\n")
     code, out, err = run(capsys, "bounds", str(f), "--method", "kirsch")
-    assert (code, out, err) == (3, "", "error: kirsch form needs square blocks with C = A\n")
+    assert (code, out, err) == (3, "", "error: C must be bit-equal to A (the Kirsch form)\n")
 
 
 def run_child(source: str):

@@ -226,7 +226,7 @@ def test_stokes_functions_refuse_nonzero_C(estimate):
     for _ in range(20):
         n = int(rng.integers(1, 6))
         S = BlockSaddle(rand_pd(rng, n), full_rank_tall(rng, n, n), rand_psd(rng, n))
-        with pytest.raises(ValueError, match="^stokes command needs the C block to be zero$"):
+        with pytest.raises(ValueError, match=r"^C must be zero \(the Stokes form\)$"):
             estimate(S)
 
 

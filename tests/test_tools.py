@@ -1,7 +1,12 @@
 """The checked-in tools under tools/, loaded by path (they are not a package)."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import gapcert
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -21,3 +26,17 @@ def test_mutation_probe_names_a_parametrized_killer_whole():
     assert probe.node_id(f"FAILED {test}") == test
     assert probe.node_id(f"FAILED {test} - AssertionError:") == test
     assert probe.node_id("ERROR tests/test_x.py::test_y[a b] - ValueError: x - y") == "tests/test_x.py::test_y[a b]"
+
+
+def test_ci_console_script_passes_through_a_shim(tmp_path):
+    # the workflow's console-script checks, with `gapcert` a shim onto this checkout's package
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "gapcert"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m gapcert.cli "$@"\n')
+    shim.chmod(0o755)
+    src = str(Path(gapcert.__file__).resolve().parents[1])
+    path = os.pathsep.join([str(bin_dir), str(Path(sys.executable).parent), os.environ.get("PATH", "")])
+    env = dict(os.environ, PATH=path, PYTHONPATH=src, RUNNER_TEMP=str(tmp_path))
+    proc = subprocess.run(["bash", str(TOOLS / "ci_console.sh")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

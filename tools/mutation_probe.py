@@ -86,6 +86,14 @@ MUTANTS = [
      "delta = 64.0 * EPS * gersh", "delta = 128.0 * EPS * gersh"),
     ("modified_spectrum_certified 64 eps G -> 32", "src/gapcert/model.py",
      "delta = 64.0 * EPS * gersh", "delta = 32.0 * EPS * gersh"),
+    # the hypotheses each method requires, and the shape test before B's rank
+    ("diag_gap without C_definite", "src/gapcert/bounds.py",
+     'H.require("A_definite", "C_definite")\n    a, c = ', 'H.require("A_definite")\n    a, c = '),
+    ("ruwa_intervals without C_zero", "src/gapcert/stokes.py",
+     'S.require("C_zero", "A_definite", "B_full_column_rank")\n    a1, am = ',
+     'S.require("A_definite", "B_full_column_rank")\n    a1, am = '),
+    ("B_square_full_rank without its shape test", "src/gapcert/bounds.py",
+     "S.m == S.k and S.B_full_rank", "S.B_full_rank"),
     # the two places of the float-range rule
     ("printed result not checked for NaN or infinity", "src/gapcert/cli.py",
      "json.dumps(result, allow_nan=False)", "json.dumps(result)"),
