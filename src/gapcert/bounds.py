@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, FormMismatch, NegativeDiscriminant, NotDefinite, RankDeficient
+from .errors import DimensionMismatch, FormMismatch, NotDefinite, OutOfRegime, RankDeficient
 
 
 def _read_only(arrays):
@@ -330,11 +330,11 @@ class Quartic4x4Params:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+            raise OutOfRegime(f"sign must be +1 or -1, got {self.sign}")
         if self.sign == -1 and (self.b_plus[0] != 0.0 or self.b_minus[0] != 0.0):
-            raise ValueError("sign = -1 requires purely imaginary b_plus, b_minus")
+            raise OutOfRegime("sign = -1 requires purely imaginary b_plus, b_minus")
         if self.sign == 1 and (self.b_plus[1] != 0.0 or self.b_minus[1] != 0.0):
-            raise ValueError("sign = +1 requires real b_plus, b_minus")
+            raise OutOfRegime("sign = +1 requires real b_plus, b_minus")
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         a = complex(*self.a)
@@ -377,7 +377,7 @@ def eig_4x4(p: Quartic4x4Params) -> np.ndarray:
     if not np.isfinite(hi):
         raise OverflowError("s = tr(M M^H)/2 overflows the float range")
     if disc < -1e-12:
-        raise NegativeDiscriminant(f"1 - c0/s^2 = {disc:.3e} < 0; parameters inconsistent")
+        raise OutOfRegime(f"1 - c0/s^2 = {disc:.3e} < 0; parameters inconsistent")
     lo = det / hi if hi > 0.0 else 0.0
     return np.array([-hi, -lo, lo, hi])
 
@@ -418,7 +418,7 @@ def nonmono_curve(t_grid: np.ndarray, family: str) -> np.ndarray:
                 raise ArithmeticError(f"unit determinant drifted: det = {det!r} at t = {t}")
             mins[i] = float(np.min(np.abs(np.linalg.eigvalsh(H))))
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise OutOfRegime(f"unknown family {family!r}")
     return np.column_stack([t_grid, mins])
 
 

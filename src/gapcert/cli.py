@@ -1,9 +1,9 @@
 """Command-line front end for certificates, Stokes intervals, and model scans.
 
 Exit codes: 0 on success, 2 on input/parse errors, 3 when a theorem
-hypothesis fails (the message names it) or a result overflows the
-float range: a certificate that would print a NaN or an infinity is
-refused like a failed hypothesis (skipped under `--method all`).
+hypothesis or a model regime fails (the message names it) or a result
+overflows the float range: a certificate that would print a NaN or an
+infinity is refused like a failed hypothesis (skipped under `--method all`).
 `model verify` additionally exits 1 when an invariant check fails.
 All output is deterministic at a fixed BLAS thread count: identical
 arguments then produce byte-identical bytes.  A different thread count
@@ -157,11 +157,11 @@ def _entry(result: bounds.GapCertificate | stokes.IntervalPair, S: bounds.BlockS
 
 
 def _finite(result: bounds.GapCertificate | stokes.IntervalPair) -> None:
-    # a NaN or an infinity, which JSON cannot print, is refused as a failed hypothesis is
+    # a NaN or an infinity, which JSON cannot print, is refused like every float-range failure
     try:
         json.dumps(result, allow_nan=False)
     except ValueError:
-        raise ValueError("the result leaves the float range: a number in it is not finite") from None
+        raise OverflowError("the result leaves the float range: a number in it is not finite") from None
 
 
 def _certify(certs: dict, method: str, S: bounds.BlockSaddle) -> dict:

@@ -1,15 +1,17 @@
 """Exception types raised across the library: one class per kind of failure.
 
-Every precondition failure is a ValueError, so callers can tell bad
-inputs from numerical breakdown (RootCountMismatch).  A class means one
-thing whichever certificate finds the failure; where two failures share
-a class, the message tells them apart.  Each certificate hypothesis
-has one class and one message, both in `bounds.HYPOTHESES`.  The command
-line exits 2 on ParseError (or an unreadable file) and 3, with the
-message as its one `error:` line, on any other class and on
-OverflowError: a block or the spectrum of H past the float range.  A
-result that would print a NaN or an infinity is refused there like a
-failed hypothesis.
+A refusal names the class or regime the input missed.  Every
+precondition failure is a ValueError, so callers can tell bad inputs
+from numerical breakdown (RootCountMismatch) and from the float range
+(Python's OverflowError: a quantity, a block or the spectrum of H past
+it).  A class means one thing whichever function finds the failure;
+where two failures share a class, the message tells them apart.  Each
+certificate hypothesis has one class and one message, both in
+`bounds.HYPOTHESES`; every parameter of the chain model or a closed
+form outside its domain is an OutOfRegime.  The command line exits 2 on
+ParseError (or an unreadable file) and 3, with the message as its one
+`error:` line, on any other class and on OverflowError.  A result that
+would print a NaN or an infinity is refused there as an OverflowError.
 """
 
 
@@ -34,28 +36,20 @@ class NotDefinite(ValueError):
 
 
 class RankDeficient(ValueError):
-    """A block lacks the rank the certificate needs (B, or B between the null spaces of A and C)."""
+    """A block lacks the rank its method needs: B, B between N(A) and N(C), or [A B] where N(A) meets N(B^T)."""
 
 
 class DimensionMismatch(ValueError):
-    """Block shapes, or the null-space dimensions of the two diagonal blocks, do not fit."""
+    """Shapes that do not fit: blocks, null-space dimensions, a band pair or a stack of specs of mixed sizes."""
 
 
 class FormMismatch(ValueError):
     """The saddle lacks the form a method needs: C = 0 (Stokes) or C bit-equal to A (Kirsch)."""
 
 
-class NegativeDiscriminant(ValueError):
-    """Closed-form quartic discriminant is negative; parameter set inconsistent."""
-
-
-class NABViolated(ValueError):
-    """Null spaces of A and B^T intersect nontrivially."""
-
-
 class OutOfRegime(ValueError):
-    """Parameter outside the regime where the estimate is defined."""
+    """A model or closed-form parameter outside the domain where its formula is defined."""
 
 
 class RootCountMismatch(RuntimeError):
-    """A root or eigenvalue count did not match."""
+    """A count or a symmetry that a theorem fixes did not hold: roots, Sturm counts or mirrored bands."""

@@ -146,7 +146,7 @@ def _bands(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
     d = require_finite(diag, "diag")
     e = require_finite(offdiag, "offdiag")
     if d.ndim != 1 or e.shape != (max(d.size - 1, 0),):
-        raise ValueError("bands need a 1-D diagonal of n entries and a 1-D off-diagonal of n - 1")
+        raise DimensionMismatch("bands need a 1-D diagonal of n entries and a 1-D off-diagonal of n - 1")
     return d, e
 
 

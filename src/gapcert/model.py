@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfRegime, RootCountMismatch
+from .errors import DimensionMismatch, OutOfRegime, RootCountMismatch
 from .linalg import EPS, bidiag_svd_hra, sturm_count, sturm_error_bound, tridiag_eigvalsh
 
 TWO53 = float(1 << 53)
@@ -34,9 +34,9 @@ class DisorderSpec:
 
     def __post_init__(self):
         if not np.isfinite(float(self.high) - float(self.low)):
-            raise ValueError(f"disorder range [{self.low}, {self.high}] must have finite ends and width")
+            raise OutOfRegime(f"disorder range [{self.low}, {self.high}] must have finite ends and width")
         if not self.high >= self.low:
-            raise ValueError(f"empty disorder range [{self.low}, {self.high}]")
+            raise OutOfRegime(f"empty disorder range [{self.low}, {self.high}]")
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,17 @@ class ModelSpec:
     disorder: DisorderSpec | None = None
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m}")
+        if not 2 <= self.m < np.inf or int(self.m) != self.m:
+            raise OutOfRegime(f"m must be an integer >= 2, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        if not self.c >= 0.0:
-            raise ValueError(f"c must be nonnegative, got {self.c}")
-        if self.c == np.inf:
-            raise ValueError("c must be finite, got inf")
+        _mass(self.c)
         if self.disorder is not None and self.c != 0.0:
-            raise ValueError("disordered model carries its shift in the law's mean; set c = 0")
+            raise OutOfRegime("disordered model carries its shift in the law's mean; set c = 0")
 
     @cached_property
     def diagonal(self) -> np.ndarray:
         """The diagonal of D = A + 2cI: 2c, or the disorder draw, drawn once and read-only."""
-        d = np.full(self.m, 2.0 * self.c) if self.disorder is None else draw_disorder(self)
+        d = np.full(self.m, _finite(2.0 * self.c, "2c", self.c)) if self.disorder is None else draw_disorder(self)
         d.flags.writeable = False
         return d
 
@@ -87,6 +84,14 @@ class SpuriousEstimate(NamedTuple):
     log_sigma_est: float
 
 
+def _mass(c: float) -> None:
+    # the mass rule of the model family: c nonnegative and finite
+    if not c >= 0.0:
+        raise OutOfRegime(f"c must be nonnegative, got {c}")
+    if c == np.inf:
+        raise OutOfRegime("c must be finite, got inf")
+
+
 def _uniform(rng: np.random.Generator, low: float, high: float, size: int) -> np.ndarray:
     # 53-bit mantissa scaling keeps the draw identical across platforms
     u = rng.integers(0, 1 << 53, size=size, dtype=np.int64) / TWO53
@@ -95,19 +100,21 @@ def _uniform(rng: np.random.Generator, low: float, high: float, size: int) -> np
 
 def draw_disorder(spec: ModelSpec) -> np.ndarray:
     if spec.disorder is None:
-        raise ValueError("spec has no disorder law")
+        raise OutOfRegime("spec has no disorder law")
     rng = np.random.default_rng(spec.disorder.seed)
     return _uniform(rng, spec.disorder.low, spec.disorder.high, spec.m)
 
 
-def _stack(spec: ModelSpec | Sequence[ModelSpec]) -> tuple[tuple[ModelSpec, ...], bool]:
-    # a sequence of specs of one size m is a stack; one spec is the one-element case
-    if isinstance(spec, ModelSpec):
-        return (spec,), True
-    specs = tuple(spec)
+def _stack(spec: ModelSpec | Sequence[ModelSpec], deterministic: str = "") -> tuple[tuple[ModelSpec, ...], bool]:
+    # a sequence of specs of one size m is a stack; one spec is the one-element case.  A
+    # nonempty `deterministic` names what is defined without a disorder law only
+    single = isinstance(spec, ModelSpec)
+    specs = (spec,) if single else tuple(spec)
     if not specs or any(s.m != specs[0].m for s in specs):
-        raise ValueError("a stack of specs needs one or more specs of one size m")
-    return specs, False
+        raise DimensionMismatch("a stack of specs needs one or more specs of one size m")
+    if deterministic and any(s.disorder is not None for s in specs):
+        raise OutOfRegime(f"{deterministic} is defined for the deterministic model only")
+    return specs, single
 
 
 def _one(stack: np.ndarray, single: bool) -> np.ndarray:
@@ -155,9 +162,7 @@ def build_Kc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
 
 def _masses(spec: ModelSpec | Sequence[ModelSpec], name: str) -> tuple[np.ndarray, int, bool]:
     # (c, m, single) of a deterministic stack, c as a (k, 1) column
-    specs, single = _stack(spec)
-    if any(s.disorder is not None for s in specs):
-        raise ValueError(f"{name} is defined for the deterministic model only")
+    specs, single = _stack(spec, name)
     return np.array([[s.c] for s in specs]), specs[0].m, single
 
 
@@ -366,12 +371,9 @@ def secular_solve(spec: ModelSpec | Sequence[ModelSpec]) -> SecularRoots | list[
     the roots of its own solve, bit for bit.  The root count check and
     the hyperbolic root stay per mass.
     """
-    specs, single = _stack(spec)
-    for s in specs:
-        if s.disorder is not None:
-            raise ValueError("secular equation is defined for the deterministic model only")
-        if s.c <= 0.0:
-            raise OutOfRegime("secular equation needs c > 0")
+    specs, single = _stack(spec, "secular equation")
+    if any(s.c <= 0.0 for s in specs):
+        raise OutOfRegime("secular equation needs c > 0")
     m = specs[0].m
 
     poles = (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)
@@ -464,8 +466,7 @@ def spurious_estimate(spec: ModelSpec) -> SpuriousEstimate:
 
 def stable_gap(c: float) -> float:
     """The dimension-independent gap radius 2|c - 1| of the model family."""
-    if not c >= 0.0:
-        raise ValueError(f"c must be nonnegative, got {c}")
+    _mass(c)
     return 2.0 * abs(c - 1.0)
 
 
@@ -630,13 +631,13 @@ def symbol_spectrum(c: float) -> tuple[tuple[float, float], tuple[tuple[float, f
     """Essential spectra of the infinite-volume symbols.
 
     The W symbol c^2 + 1 - 2c cos covers [(1-c)^2, (1+c)^2]; the H bands
-    are the plus/minus square-root images scaled by 2.
+    are the plus/minus square-root images scaled by 2, the inner end the stable gap.
     """
-    if not c >= 0.0:
-        raise ValueError(f"c must be nonnegative, got {c}")
-    w_lo, w_hi = (1.0 - c) ** 2, (1.0 + c) ** 2
-    h_lo, h_hi = 2.0 * abs(1.0 - c), 2.0 * (1.0 + c)
-    return (w_lo, w_hi), ((-h_hi, -h_lo), (h_lo, h_hi))
+    h_lo, h_hi = stable_gap(c), 2.0 * (1.0 + c)
+    # numpy's ** gives inf past the float range, for _finite to name c, as in lambda_of_alpha
+    with np.errstate(over="ignore"):
+        w_lo, w_hi = np.float64(1.0 - c) ** 2, _finite(np.float64(1.0 + c) ** 2, "(1 + c)^2", c)
+    return (float(w_lo), float(w_hi)), ((-h_hi, -h_lo), (h_lo, h_hi))
 
 
 def gap_scan(M_list, delta: float, m: int, seed: int) -> tuple[list, list, list, list]:

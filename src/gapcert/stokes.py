@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds, linalg
-from .errors import NABViolated
+from .errors import RankDeficient
 
 
 class PencilSpectrum(NamedTuple):
@@ -52,9 +52,7 @@ def pencil_spectrum(S: bounds.BlockSaddle) -> PencilSpectrum:
     # with C = 0, the rank rule keeps m eigenvalues as positive exactly when N(A) cap N(B^T) = {0}
     pos = w[~linalg.negligible(w)]
     if pos.size != S.m:
-        raise NABViolated(
-            f"expected {S.m} positive eigenvalues, found {pos.size}; N(A) meets N(B^T)"
-        )
+        raise RankDeficient(f"expected {S.m} positive eigenvalues, found {pos.size}; N(A) meets N(B^T)")
     zero_mult = w.size - neg.size - pos.size
     lam_minus = np.concatenate([neg, np.zeros(S.m - neg.size)])
     return PencilSpectrum(lam_minus, pos[::-1], int(zero_mult))
@@ -65,8 +63,9 @@ def minimal_intervals(S: bounds.BlockSaddle) -> IntervalPair:
 
     i_plus spans the positive eigenvalues; i_minus spans the strict
     negatives (collapsing to (0, 0) if B = 0 leaves none).  Raises
-    NABViolated through `pencil_spectrum` when N(A) meets N(B^T), the case
-    in which fewer than m eigenvalues are positive.
+    RankDeficient through `pencil_spectrum` when N(A) meets N(B^T) (the
+    block row [A B] has rank below m), the case in which fewer than m
+    eigenvalues are positive.
     """
     ps = pencil_spectrum(S)
     strict = ps.strict_minus

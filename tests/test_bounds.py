@@ -11,10 +11,10 @@ from gapcert import bounds, linalg
 from gapcert.bounds import BlockSaddle, Quartic4x4Params
 from gapcert.errors import (
     DimensionMismatch,
-    NegativeDiscriminant,
     NotDefinite,
     NotPSD,
     NotSymmetric,
+    OutOfRegime,
     RankDeficient,
 )
 
@@ -522,7 +522,7 @@ def test_eig_4x4_scale_covariant(t):
     # reach the discriminant test, which must reject it at every scale
     p = Quartic4x4Params(t, t)
     object.__setattr__(p, "b_plus", (0.0, t))
-    with pytest.raises(NegativeDiscriminant):
+    with pytest.raises(OutOfRegime):
         bounds.eig_4x4(p)
 
 

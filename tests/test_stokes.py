@@ -7,7 +7,7 @@ import pytest
 
 from gapcert import linalg, stokes
 from gapcert.bounds import BlockSaddle, GapCertificate
-from gapcert.errors import DimensionMismatch, NABViolated, NotDefinite, NotPSD, RankDeficient
+from gapcert.errors import DimensionMismatch, NotDefinite, NotPSD, RankDeficient
 
 from helpers import StokesMatrix, full_rank_tall, rand_pd, rand_psd, violations
 
@@ -35,7 +35,7 @@ def test_pencil_spectrum_nab_rule():
     assert ps.lambda_plus.size == 2
     # e1 lies in both null spaces; with A = B = 0, all of R^2 does
     for A, B in ((np.diag([0.0, 1.0]), np.array([[0.0], [1.0]])), (np.zeros((2, 2)), np.zeros((2, 2)))):
-        with pytest.raises(NABViolated):
+        with pytest.raises(RankDeficient):
             stokes.pencil_spectrum(StokesMatrix(A, B))
 
 
@@ -70,9 +70,9 @@ def test_pencil_spectrum_counts():
 
 def test_pencil_spectrum_nab_violated():
     S = StokesMatrix(np.diag([0.0, 1.0]), np.array([[0.0], [1.0]]))
-    with pytest.raises(NABViolated):
+    with pytest.raises(RankDeficient):
         stokes.pencil_spectrum(S)
-    with pytest.raises(NABViolated):
+    with pytest.raises(RankDeficient):
         stokes.minimal_intervals(S)
     # singular A: N(A) = span(e1) and N(B^T) = span(e1 - e2) meet only in zero
     A = np.diag([0.0, 2.0, 3.0])
@@ -84,9 +84,9 @@ def test_pencil_spectrum_nab_violated():
     assert pair.i_minus == (float(evals[0]), float(evals[0]))
     # A's null vector e1 lies in N(B^T) = span(e1, e3)
     S = StokesMatrix(A, np.array([[0.0], [1.0], [0.0]]))
-    with pytest.raises(NABViolated):
+    with pytest.raises(RankDeficient):
         stokes.pencil_spectrum(S)
-    with pytest.raises(NABViolated):
+    with pytest.raises(RankDeficient):
         stokes.minimal_intervals(S)
 
 

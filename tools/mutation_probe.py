@@ -106,6 +106,13 @@ MUTANTS = [
      "nonfinite = outside.any() and ((words[..., 4][outside] & 0x7FFF) == 0x7FFF).any()", "nonfinite = False"),
     ("matio hex text read", "src/gapcert/matio.py",
      'if not ("x" in text or "X" in text):', "if True:"),
+    # the edges of the chain model's regimes
+    ("spurious_estimate admits c = 1", "src/gapcert/model.py",
+     "if not 0.0 < c < 1.0:", "if not 0.0 < c <= 1.0:"),
+    ("secular_solve admits c = 0", "src/gapcert/model.py",
+     "if any(s.c <= 0.0 for s in specs):", "if any(s.c < 0.0 for s in specs):"),
+    ("has_central_pair > -> >=", "src/gapcert/model.py",
+     "m * (1.0 - c) > c", "m * (1.0 - c) >= c"),
 ]
 
 # (name, file, old text, new text, why no test can tell it from the original)
