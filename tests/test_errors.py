@@ -105,17 +105,13 @@ def test_each_refusal_raises_its_class_and_message(tmp_path, capsys, call, error
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def _classes() -> list[str]:
-    return [name for name, obj in vars(errors).items() if isinstance(obj, type) and obj.__module__ == errors.__name__]
-
-
 def test_no_bare_value_error_and_every_class_raised_and_documented():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     # argparse reads a ValueError from a type function as a usage error, so _t_grid keeps it
     blocks = [block for text in sources.values() for block in re.split(r"\n(?=def |class )", text)]
     bare = [re.match(r"(?:def|class) (\w+)", block)[1] for block in blocks if "raise ValueError(" in block]
     assert bare == ["_t_grid"]
-    classes = _classes()
+    classes = [name for name, obj in vars(errors).items() if isinstance(obj, type) and obj.__module__ == errors.__name__]
     assert len(classes) == 10
     table = {error.__name__ for _, error, _ in bounds.HYPOTHESES.values()}
     code = "".join(text for name, text in sources.items() if name != "errors.py")
