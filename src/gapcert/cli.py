@@ -320,12 +320,14 @@ def _model_verify(m_list: Sequence[int], c_list: Sequence[float]) -> list[tuple[
         wh = np.linalg.eigvalsh(model.build_Hc(specs))
         # X = D - B has subdiagonal 2, so scale >= 2 for every m >= 2
         scale = row_max(wh)
-        wk = np.linalg.eigvalsh(model.build_Kc(specs))
+        K = model.build_Kc(specs)
+        wk = np.linalg.eigvalsh(K)
         note("unitary_equivalence", row_max(wh - wk) / scale)
         hs = model.hc_spectrum(specs)
         note("bidiagonal_factorization", row_max(wh - hs) / scale)
         W = model.build_Wc(specs)
-        Tmc = model.build_Tc(specs)
+        # K's block X = D - B is 2 T_c (diagonal 2c, subdiagonal 2), so its half is T_c exactly
+        Tmc = K[:, :m, m:] / 2.0
         Tmc[:, np.arange(m), np.arange(m)] *= -1.0
         note("gram_identity", np.abs(W - Tmc.swapaxes(1, 2) @ Tmc))
         sv = np.sort(hs[:, m:], axis=1) / 2.0

@@ -181,16 +181,6 @@ def _c_squared(c: np.ndarray) -> np.ndarray:
     return c2
 
 
-def build_Tc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
-    """The lower bidiagonal factor T_c with diagonal c and subdiagonal 1, dense; stacks as build_Hc."""
-    c, m, single = _masses(spec, "T_c")
-    T = np.zeros((c.size, m, m))
-    i, j = np.arange(m), np.arange(m - 1)
-    T[:, i, i] = c
-    T[:, j + 1, j] = 1.0
-    return _one(T, single)
-
-
 def build_Wc(spec: ModelSpec | Sequence[ModelSpec]) -> np.ndarray:
     """Gram matrix W_c = T_{-c}^T T_{-c}: tridiagonal (-c, c^2+1, -c), corner c^2; stacks as build_Hc."""
     c, m, single = _masses(spec, "W_c")
@@ -374,6 +364,8 @@ def secular_solve(spec: ModelSpec | Sequence[ModelSpec]) -> SecularRoots | list[
     specs, single = _stack(spec, "secular equation")
     if any(s.c <= 0.0 for s in specs):
         raise OutOfRegime("secular equation needs c > 0")
+    # lambda(pi) = (1 + c)^2 tops the band: refused here, before _newton divides by an overflow
+    lambda_of_alpha(np.array([s.c for s in specs]), np.pi)
     m = specs[0].m
 
     poles = (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)

@@ -472,6 +472,13 @@ def test_model_scan_frozen_text(capsys):
     assert (code, out, err) == (0, SCAN_M3_SEED1, "")
 
 
+def test_model_verify_default_gram_identity_is_exact(capsys):
+    # T_-c comes from K_c's block, halved: W_c = T_-c^T T_-c holds to the last bit on the default grid
+    code, out, err = run(capsys, "model", "verify")
+    assert (code, err) == (0, "")
+    assert "PASS gram_identity (max defect 0.000e+00, tol 1e-14)\n" in out
+
+
 def test_model_verify_passes(capsys):
     code, out, _ = run(capsys, "model", "verify", "-m", "2,3", "-c", "0,0.5,1")
     assert code == 0

@@ -56,8 +56,6 @@ REFUSALS = [
      "a stack of specs needs one or more specs of one size m", None),
     ("stack-empty", lambda: model.hc_spectrum([]), DimensionMismatch,
      "a stack of specs needs one or more specs of one size m", None),
-    ("Tc-disordered", lambda: model.build_Tc(_DISORDERED), OutOfRegime,
-     "T_c is defined for the deterministic model only", None),
     ("Wc-disordered", lambda: model.build_Wc([_DISORDERED]), OutOfRegime,
      "W_c is defined for the deterministic model only", None),
     ("closed-form-disordered", lambda: model.modified_spectrum_closed_form(_DISORDERED), OutOfRegime,
@@ -66,6 +64,12 @@ REFUSALS = [
      "secular equation is defined for the deterministic model only", None),
     ("secular-c-0", lambda: model.secular_solve(ModelSpec(5, 0.0)), OutOfRegime, "secular equation needs c > 0",
      ["model", "secular", "-m", "5", "-c", "0"]),
+    ("secular-overflow", lambda: model.secular_solve(ModelSpec(3, 9e307)), OverflowError,
+     "lambda = c^2 + 1 - 2c cos(alpha) overflows the float range at c = 9e+307",
+     ["model", "secular", "-m", "3", "-c", "9e307"]),
+    ("stable-gap-overflow", lambda: model.stable_gap_check(3, 9e307), OverflowError,
+     "lambda = c^2 + 1 - 2c cos(alpha) overflows the float range at c = 9e+307",
+     ["model", "stable-gap", "-m", "3", "-c", "9e307"]),
     ("spurious-c-1", lambda: model.spurious_estimate(ModelSpec(30, 1.0)), OutOfRegime,
      "spurious pair exists for 0 < c < 1 only, got c = 1.0", ["model", "spurious", "-m", "30", "-c", "1"]),
     ("spurious-c-1.5", lambda: model.spurious_estimate(ModelSpec(30, 1.5)), OutOfRegime,

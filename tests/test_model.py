@@ -70,10 +70,12 @@ def test_unitary_equivalence_H_to_K():
 
 
 def test_x_block_is_twice_Tc():
+    # X = D - B, bit for bit: diagonal 2c, subdiagonal 2, zeros elsewhere, so X / 2 is T_c exactly
     spec = ModelSpec(4, 0.3)
     X = model.build_Kc(spec)[:4, 4:]
-    assert np.allclose(X, 2.0 * model.build_Tc(spec), atol=0.0)
-    assert np.array_equal(np.triu(X, 1), np.zeros((4, 4)))  # lower bidiagonal
+    expected = np.diag(spec.diagonal) + np.diag(np.full(3, 2.0), -1)
+    assert np.array_equal(X, expected)
+    assert np.array_equal(X / 2.0, np.diag(np.full(4, 0.3)) + np.diag(np.ones(3), -1))
 
 
 def test_gram_identity():
@@ -571,7 +573,7 @@ def test_stacked_builders_equal_scalar_ones(m):
     # a stack over masses holds, bit for bit, each mass's own matrix
     specs = [ModelSpec(m, c) for c in STACK_MASSES]
     for fn in (model.build_Hc, model.build_Kc, model.build_Htilde, build_Ktilde, model.build_Wc,
-               model.build_Tc, model.hc_spectrum, model.modified_spectrum_closed_form):
+               model.hc_spectrum, model.modified_spectrum_closed_form):
         stack = fn(specs)
         assert stack.shape[0] == len(specs), fn.__name__
         for spec, one in zip(specs, stack):
@@ -586,7 +588,7 @@ def test_stacked_builders_equal_scalar_ones(m):
 
 def test_stacks_need_one_size():
     for specs in ([], [ModelSpec(3, 0.5), ModelSpec(4, 0.5)]):
-        for fn in (model.build_Hc, model.build_Wc, model.build_Tc, model.secular_solve):
+        for fn in (model.build_Hc, model.build_Wc, model.secular_solve):
             with pytest.raises(ValueError):
                 fn(specs)
 
@@ -855,7 +857,7 @@ def test_finite_volume_spectra_versus_symbol():
 
 def test_deterministic_guards_reject_disorder():
     spec = ModelSpec(4, 0.0, DisorderSpec(-1.0, 1.0, 0))
-    for fn in (model.build_Tc, model.build_Wc, model.modified_spectrum_closed_form):
+    for fn in (model.build_Wc, model.modified_spectrum_closed_form):
         with pytest.raises(ValueError):
             fn(spec)
 

@@ -17,7 +17,9 @@
 # and spurious and stable-gap run once each (no benchmark workload sends spurious);
 # counterexamples runs in both formats (exit 0) before its overflow case.
 # Each chain-model regime refuses with exit 3: the spurious pair past c = 1, the
-# secular equation at c = 0, a chain of one site, and a 2c past the float range.
+# secular equation at c = 0, a chain of one site, and a 2c past the float range;
+# a mass whose band top (1 + c)^2 overflows is refused by secular and stable-gap
+# with its one error line on stderr, before the root solve warns of anything.
 # One command a line: under bash -e a failure before the last && of a list
 # does not stop the script
 set -e
@@ -46,6 +48,8 @@ rc=0; gapcert model spurious -m 30 -c 1.5 || rc=$?; test "$rc" -eq 3
 rc=0; gapcert model secular -m 5 -c 0 || rc=$?; test "$rc" -eq 3
 rc=0; gapcert model stable-gap -m 1 -c 0.5 || rc=$?; test "$rc" -eq 3
 rc=0; gapcert model verify -m 3 -c 9e307 || rc=$?; test "$rc" -eq 3
+rc=0; gapcert model secular -m 3 -c 9e307 2> "$RUNNER_TEMP/err.txt" || rc=$?; test "$rc" -eq 3; test "$(wc -l < "$RUNNER_TEMP/err.txt")" -eq 1
+rc=0; gapcert model stable-gap -m 3 -c 9e307 2> "$RUNNER_TEMP/err.txt" || rc=$?; test "$rc" -eq 3; test "$(wc -l < "$RUNNER_TEMP/err.txt")" -eq 1
 gapcert counterexamples > /dev/null
 gapcert counterexamples --format json --t-range 5:20:31 > /dev/null
 rc=0; gapcert counterexamples --t-range 1e150:1e160:3 || rc=$?; test "$rc" -eq 3

@@ -113,6 +113,8 @@ MUTANTS = [
      "if any(s.c <= 0.0 for s in specs):", "if any(s.c < 0.0 for s in specs):"),
     ("has_central_pair > -> >=", "src/gapcert/model.py",
      "m * (1.0 - c) > c", "m * (1.0 - c) >= c"),
+    ("secular_solve without its float-range check", "src/gapcert/model.py",
+     "    lambda_of_alpha(np.array([s.c for s in specs]), np.pi)\n", ""),
 ]
 
 # (name, file, old text, new text, why no test can tell it from the original)
